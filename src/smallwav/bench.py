@@ -14,7 +14,6 @@ table are timed in interleaved rounds (measure_inference_all).
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -26,7 +25,6 @@ from .distill import (
     DistillHistory,
     adamw_step,
     distill,
-    frozen,
     init_adam_state,
     lr_at,
 )
@@ -40,7 +38,7 @@ from .model import (
     sinusoidal_positions,
 )
 from .quantize import model_size_bytes, prepack, quantize_model
-from .tensor import Rng
+from .tensor import Rng, no_grad
 
 REPORT_COLUMNS = ("model", "layers", "params", "bytes", "cpu_s", "wer")
 
@@ -255,7 +253,7 @@ def _teacher_val_loss(model: AcousticModel, val) -> float:
     if not len(val):
         return 0.0
     total = 0.0
-    with frozen(model):
+    with no_grad():
         for wave, transcript in val:
             logits, _ = model.forward(wave)
             total += ctc_loss(logits, transcript).item()
@@ -281,14 +279,11 @@ def run_tradeoff_sweep(
     val,
     eval_set,
     repeats: int = 3,
-    parallel: bool = False,
 ) -> list:
     """Distill one student per layer count and table them with the teacher.
 
-    Students use the alternating selection.  With parallel=True the
-    distillation runs share a thread pool (each against its own teacher
-    copy); timing always happens afterwards, sequentially, so clock
-    measurements never overlap.
+    Students use the alternating selection.  All models are timed
+    together once the students are trained (measure_inference_all).
     """
     counts = [int(k) for k in layer_counts]
     depth = teacher.config.n_transformer_layers
@@ -297,18 +292,11 @@ def run_tradeoff_sweep(
             raise ConfigError(f"sweep: layer count {k} outside [1, {depth}]")
     boundary = teacher.config.n_tokens - 1
 
-    def train_one(k, teacher_for_worker):
-        student = init_student(teacher_for_worker, LayerSelection.alternating(k))
-        best, _ = distill(teacher_for_worker, student, train, val, cfg)
-        return best
-
-    if parallel and len(counts) > 1:
-        with ThreadPoolExecutor(max_workers=min(4, len(counts))) as pool:
-            futures = [pool.submit(train_one, k, teacher.copy()) for k in counts]
-            students = [f.result() for f in futures]
-    else:
-        students = [train_one(k, teacher) for k in counts]
-
+    students = []
+    for k in counts:
+        student = init_student(teacher, LayerSelection.alternating(k))
+        best, _ = distill(teacher, student, train, val, cfg)
+        students.append(best)
     named = [("teacher", teacher)] + [(f"student-{k}", s) for k, s in zip(counts, students)]
     return _report_rows(named, eval_set, boundary, repeats)
 

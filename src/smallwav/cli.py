@@ -116,11 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep-layers", parents=[common], help="depth/accuracy tradeoff")
     p.add_argument("--teacher", default=None, help="teacher checkpoint (.swav)")
     p.add_argument("--layers", default=None, help="comma list of depths (default all)")
-    p.add_argument(
-        "--parallel",
-        action="store_true",
-        help="train sweep students concurrently (timing stays sequential)",
-    )
 
     p = sub.add_parser("exp-init", parents=[common], help="alternating vs last-k picks")
     p.add_argument("--teacher", default=None, help="teacher checkpoint (.swav)")
@@ -318,7 +313,6 @@ def cmd_sweep_layers(args) -> int:
         val,
         eval_set,
         repeats=int(driver_value(cfg, "time_repeats")),
-        parallel=args.parallel,
     )
     emit_report(reports, os.path.join(out, "sweep.csv"))
     students = [r for r in reports if r.model != "teacher"]

@@ -13,14 +13,15 @@ the teacher bit for bit yields a loss of exactly zero even in float32.
 from __future__ import annotations
 
 import csv
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .decode import best_path_decode, wer
 from .model import AcousticModel, ConfigError
-from .tensor import Rng, Tensor, add, clamp_min, mul, softmax, square, sub, tlog, tmean, tsum
+from .tensor import (
+    Rng, Tensor, add, clamp_min, mul, no_grad, softmax, square, sub, tlog, tmean, tsum,
+)
 
 KL_FLOOR = 1e-9
 
@@ -31,8 +32,8 @@ class DistillConfig:
 
     peak_lr defaults to ten times base_lr.  The ramp is per epoch: base
     to peak linearly across warmup_epochs, then linearly toward zero at
-    `epochs`.  Only batch_size 1 is supported; utterances vary in length
-    and each one is a full optimizer step.
+    `epochs`.  Each utterance is one optimizer step; utterances vary in
+    length, so there are no batches.
     """
 
     epochs: int = 12
@@ -42,7 +43,6 @@ class DistillConfig:
     adam_betas: tuple = (0.9, 0.98)
     adam_eps: float = 1e-6
     weight_decay: float = 0.01
-    batch_size: int = 1
     seed: int = 42
     feature_penalty_weight: float = 1.0
     temperature: float = 1.0
@@ -60,8 +60,6 @@ class DistillConfig:
             raise ConfigError(
                 f"warmup_epochs {self.warmup_epochs} must lie in [0, epochs)"
             )
-        if self.batch_size != 1:
-            raise ConfigError("only batch_size 1 is supported")
         if self.temperature <= 0:
             raise ConfigError("temperature must be positive")
         if self.feature_penalty_weight < 0:
@@ -264,19 +262,6 @@ def read_history_rows(path) -> list:
         ]
 
 
-@contextmanager
-def frozen(model: AcousticModel):
-    """Temporarily turn off requires_grad so forwards build no tape."""
-    flags = [(t, t.requires_grad) for t in model.params()]
-    for t, _ in flags:
-        t.requires_grad = False
-    try:
-        yield model
-    finally:
-        for t, was in flags:
-            t.requires_grad = was
-
-
 def evaluate(
     teacher: AcousticModel,
     student: AcousticModel,
@@ -287,7 +272,7 @@ def evaluate(
     """Mean objective and WER (percent) of the student on a dataset."""
     totals = []
     refs, hyps = [], []
-    with frozen(teacher), frozen(student):
+    with no_grad():
         for wave, transcript in val_set:
             t_logits, _ = teacher.forward(wave)
             s_logits, s_conv = student.forward(wave)
@@ -331,29 +316,29 @@ def distill(
     state = init_adam_state(params)
     shuffler = Rng(cfg.seed)
     best = (init_total, student.copy())
-    with frozen(teacher):
-        for epoch in range(cfg.epochs):
-            lr = lr_at(epoch, cfg)
-            order = shuffler.child(epoch).permutation(len(train_set))
-            sums = np.zeros(3)
-            for idx in order:
-                wave, _ = train_set[int(idx)]
+    for epoch in range(cfg.epochs):
+        lr = lr_at(epoch, cfg)
+        order = shuffler.child(epoch).permutation(len(train_set))
+        sums = np.zeros(3)
+        for idx in order:
+            wave, _ = train_set[int(idx)]
+            with no_grad():
                 t_logits, _ = teacher.forward(wave)
-                s_logits, s_conv = student.forward(wave)
-                lb = objective(t_logits, s_logits, s_conv, cfg)
-                student.zero_grad()
-                lb.total.backward()
-                adamw_step(params, [p.grad for p in params], state, lr, cfg)
-                sums += (
-                    float(lb.total.data),
-                    float(lb.distill.data),
-                    float(lb.feature.data),
-                )
-            val_total, val_wer = evaluate(teacher, student, val_set, cfg, boundary)
-            mean = sums / len(train_set)
-            history.epochs.append(
-                EpochStats(epoch, lr, mean[0], mean[1], mean[2], val_total, val_wer)
+            s_logits, s_conv = student.forward(wave)
+            lb = objective(t_logits, s_logits, s_conv, cfg)
+            student.zero_grad()
+            lb.total.backward()
+            adamw_step(params, [p.grad for p in params], state, lr, cfg)
+            sums += (
+                float(lb.total.data),
+                float(lb.distill.data),
+                float(lb.feature.data),
             )
-            if val_total < best[0]:
-                best = (val_total, student.copy())
+        val_total, val_wer = evaluate(teacher, student, val_set, cfg, boundary)
+        mean = sums / len(train_set)
+        history.epochs.append(
+            EpochStats(epoch, lr, mean[0], mean[1], mean[2], val_total, val_wer)
+        )
+        if val_total < best[0]:
+            best = (val_total, student.copy())
     return best[1], history

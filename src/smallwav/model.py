@@ -28,6 +28,7 @@ from .tensor import (
     gelu,
     layer_norm,
     matmul,
+    no_grad,
     transpose,
 )
 
@@ -213,8 +214,16 @@ def _linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return add(matmul(x, w), b)
 
 
-class AcousticModel:
-    """Float32 model with trainable parameters on the autodiff tape."""
+class _Network:
+    """The network's parts in canonical layout, and one forward pass over them.
+
+    ``params`` maps canonical names (docs/formats.md) to parts.  In a
+    float model every part is a Tensor.  The int8 model keeps Tensors
+    for the conv front end, the positional table and the layer norms,
+    and holds a QuantizedLinear in each linear's weight slot and None in
+    its bias slot, since a QuantizedLinear carries its own bias.  The two
+    differ only in the kernel that _forward applies to each linear.
+    """
 
     def __init__(self, config: ModelConfig, params: dict):
         self.config = config
@@ -230,6 +239,63 @@ class AcousticModel:
             self.layers.append(_EncoderLayer(**fields))
         self.head_w = params["head.w"]
         self.head_b = params["head.b"]
+
+    def named_params(self) -> list:
+        """(name, part) pairs in the canonical serialization order."""
+        out = []
+        for i, layer in enumerate(self.conv):
+            out.append((f"conv{i}.w", layer.w))
+            out.append((f"conv{i}.b", layer.b))
+        out.append(("pos", self.pos))
+        for i, layer in enumerate(self.layers):
+            for f in _EncoderLayer.FIELDS:
+                out.append((f"layer{i}.{f}", getattr(layer, f)))
+        out.append(("head.w", self.head_w))
+        out.append(("head.b", self.head_b))
+        return out
+
+    def _forward(self, waveform, linear) -> tuple:
+        """Run one utterance, with linear(x, w, b) as every linear layer.
+
+        Args:
+            waveform: 1-D array or Tensor of samples.
+            linear: kernel taking the (N, d_in) input Tensor and one
+                layer's weight and bias slots, returning (N, d_out).
+
+        Returns:
+            (logits, conv_out): per-frame token logits of shape (N, M) and
+            the final conv features of shape (N, C), both on the tape when
+            any weight requires grad and the tape is on.  Gradients do not
+            flow to the input.
+        """
+        data = waveform.data if isinstance(waveform, Tensor) else np.asarray(waveform)
+        if data.ndim != 1:
+            raise ShapeError(f"forward: expected a 1-D waveform, got shape {data.shape}")
+        n = self.config.n_frames(data.shape[0])
+        if n > self.config.max_frames:
+            raise ShapeError(
+                f"utterance needs {n} frames but max_frames is {self.config.max_frames}"
+            )
+        x = Tensor(np.ascontiguousarray(data[None, :], dtype=np.float32))
+        for layer in self.conv:
+            x = gelu(add(conv1d(x, layer.w, layer.stride), layer.b))
+        conv_out = transpose(x)
+        h = add(conv_out, self.pos[:n])
+        for layer in self.layers:
+            q = linear(h, layer.wq, layer.bq)
+            k = linear(h, layer.wk, layer.bk)
+            v = linear(h, layer.wv, layer.bv)
+            core = attention_core(q, k, v, self.config.n_heads)
+            o = linear(core, layer.wo, layer.bo)
+            h = layer_norm(add(h, o), layer.ln1_g, layer.ln1_b)
+            ff = linear(gelu(linear(h, layer.wf1, layer.bf1)), layer.wf2, layer.bf2)
+            h = layer_norm(add(h, ff), layer.ln2_g, layer.ln2_b)
+        logits = linear(h, self.head_w, self.head_b)
+        return logits, conv_out
+
+
+class AcousticModel(_Network):
+    """Float32 model with trainable parameters on the autodiff tape."""
 
     # -- construction -----------------------------------------------------
 
@@ -278,20 +344,6 @@ class AcousticModel:
         params["head.b"] = Tensor(np.zeros(config.n_tokens, dtype=f32), requires_grad=True)
         return cls(config, params)
 
-    def named_params(self) -> list:
-        """(name, Tensor) pairs in the canonical serialization order."""
-        out = []
-        for i, layer in enumerate(self.conv):
-            out.append((f"conv{i}.w", layer.w))
-            out.append((f"conv{i}.b", layer.b))
-        out.append(("pos", self.pos))
-        for i, layer in enumerate(self.layers):
-            for f in _EncoderLayer.FIELDS:
-                out.append((f"layer{i}.{f}", getattr(layer, f)))
-        out.append(("head.w", self.head_w))
-        out.append(("head.b", self.head_b))
-        return out
-
     def params(self) -> list:
         return [t for _, t in self.named_params()]
 
@@ -301,10 +353,6 @@ class AcousticModel:
     def zero_grad(self) -> None:
         for t in self.params():
             t.zero_grad()
-
-    def set_trainable(self, flag: bool) -> None:
-        for t in self.params():
-            t.requires_grad = flag
 
     def copy(self) -> "AcousticModel":
         params = {
@@ -316,51 +364,18 @@ class AcousticModel:
     # -- forward ----------------------------------------------------------
 
     def forward(self, waveform) -> tuple:
-        """Run one utterance.
+        """Run one utterance through the float linears.
 
-        Args:
-            waveform: 1-D array or Tensor of samples.
-
-        Returns:
-            (logits, conv_out): per-frame token logits of shape (N, M) and
-            the final conv features of shape (N, C), both on the tape when
-            any weight requires grad.  Gradients do not flow to the input.
+        Returns (logits, conv_out) as _Network._forward documents: (N, M)
+        logits and (N, C) conv features, on the tape when any weight
+        requires grad, outside no_grad().
         """
-        data = waveform.data if isinstance(waveform, Tensor) else np.asarray(waveform)
-        if data.ndim != 1:
-            raise ShapeError(f"forward: expected a 1-D waveform, got shape {data.shape}")
-        n = self.config.n_frames(data.shape[0])
-        if n > self.config.max_frames:
-            raise ShapeError(
-                f"utterance needs {n} frames but max_frames is {self.config.max_frames}"
-            )
-        x = Tensor(np.ascontiguousarray(data[None, :], dtype=np.float32))
-        for layer in self.conv:
-            x = gelu(add(conv1d(x, layer.w, layer.stride), layer.b))
-        conv_out = transpose(x)
-        h = add(conv_out, self.pos[:n])
-        for layer in self.layers:
-            q = _linear(h, layer.wq, layer.bq)
-            k = _linear(h, layer.wk, layer.bk)
-            v = _linear(h, layer.wv, layer.bv)
-            core = attention_core(q, k, v, self.config.n_heads)
-            o = _linear(core, layer.wo, layer.bo)
-            h = layer_norm(add(h, o), layer.ln1_g, layer.ln1_b)
-            ff = _linear(gelu(_linear(h, layer.wf1, layer.bf1)), layer.wf2, layer.bf2)
-            h = layer_norm(add(h, ff), layer.ln2_g, layer.ln2_b)
-        logits = _linear(h, self.head_w, self.head_b)
-        return logits, conv_out
+        return self._forward(waveform, _linear)
 
     def infer(self, waveform) -> np.ndarray:
-        """Logits only, with the tape suppressed.  For decoding and timing."""
-        flags = [(t, t.requires_grad) for t in self.params()]
-        for t, _ in flags:
-            t.requires_grad = False
-        try:
+        """Logits only, with the tape off.  For decoding and timing."""
+        with no_grad():
             logits, _ = self.forward(waveform)
-        finally:
-            for t, was in flags:
-                t.requires_grad = was
         return logits.data
 
 

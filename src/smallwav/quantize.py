@@ -7,11 +7,12 @@ asymmetric scale and zero point.  The matmul runs in the integer domain
 with 32-bit accumulation, then the result is rescaled to float, so
 everything downstream (gelu, layer norm, the attention score path) sees
 ordinary float32.  The conv frontend, positional table, layer norms and
-all biases stay float.
+all biases stay float.  The quantized model runs the float model's
+forward pass with only the linear kernel swapped.
 
-Prepacking caches each layer's unpacked operands once so per-utterance
-inference skips the int8-to-int32 conversion; outputs are bit-identical
-either way, only the per-call unpack work disappears.
+Prepacking caches each layer's unpacked kernel operand once so
+per-utterance inference skips the int8 conversion; outputs are
+bit-identical either way, only the per-call unpack work disappears.
 
 Quantized checkpoints use the "SWQ8" container documented in
 docs/formats.md.
@@ -28,6 +29,7 @@ from .model import (
     AcousticModel,
     ModelConfig,
     TruncatedError,
+    _Network,
     _pack_config,
     _param_shapes,
     _parse_header,
@@ -35,17 +37,7 @@ from .model import (
 )
 from .model import checkpoint_bytes as float_checkpoint_bytes
 from .model import header_bytes as _header_bytes
-from .tensor import (
-    NumericError,
-    ShapeError,
-    Tensor,
-    add,
-    attention_core,
-    conv1d,
-    gelu,
-    layer_norm,
-    transpose,
-)
+from .tensor import NumericError, ShapeError, Tensor
 
 QMAGIC = b"SWQ8"
 QFORMAT_VERSION = 1
@@ -55,8 +47,6 @@ QUANT_PARAMS_BYTES = 8
 
 #: weight-matrix fields of an encoder layer that get a QuantizedLinear
 LINEAR_FIELDS = ("wq", "wk", "wv", "wo", "wf1", "wf2")
-
-_BIAS_FOR = {"wq": "bq", "wk": "bk", "wv": "bv", "wo": "bo", "wf1": "bf1", "wf2": "bf2"}
 
 
 @dataclass(frozen=True)
@@ -140,14 +130,13 @@ class QuantizedLinear:
     """One linear layer stored as int8 weights plus a float bias.
 
     w_q holds codes in [-127, 127] with the symmetric scale in w_params.
-    prepacked is None until prepack() runs; afterwards it holds the
-    dequantized float32 weight matrix (w_q * scale) and the int32 kernel
-    operand is cached alongside, so forward passes stop converting the
-    int8 payload on every call.  unpack_count counts those per-call
-    conversions; after prepacking it stops moving.
+    Until prepack() runs, every forward pass converts the int8 payload
+    into the kernel's operand; prepack() caches that operand once.
+    unpack_count counts the per-call conversions; after prepacking it
+    stops moving.
     """
 
-    __slots__ = ("w_q", "w_params", "bias", "prepacked", "unpack_count", "_w_op")
+    __slots__ = ("w_q", "w_params", "bias", "unpack_count", "_w_op")
 
     def __init__(self, w_q: np.ndarray, w_params: QuantParams, bias: np.ndarray):
         if w_q.ndim != 2:
@@ -160,7 +149,6 @@ class QuantizedLinear:
         self.w_q = w_q
         self.w_params = w_params
         self.bias = np.asarray(bias, dtype=np.float32)
-        self.prepacked = None
         self.unpack_count = 0
         self._w_op = None
 
@@ -170,13 +158,12 @@ class QuantizedLinear:
         return cls(q, params, np.asarray(bias, dtype=np.float32))
 
     def prepack(self) -> None:
-        """Cache the unpacked operands; forward output bits do not change.
+        """Cache the kernel operand; forward output bits do not change.
 
-        Trades memory (a wide copy of the weights) for dropping the
+        Trades memory (a float64 copy of the int8 codes) for dropping the
         per-call unpack, the same bargain the runtime this mirrors makes.
         """
         self._w_op = self.w_q.astype(np.float64)
-        self.prepacked = self.w_q.astype(np.float32) * np.float32(self.w_params.scale)
 
     def _kernel_weights(self) -> np.ndarray:
         if self._w_op is not None:
@@ -218,42 +205,24 @@ def qlinear_forward(x, layer: QuantizedLinear) -> np.ndarray:
     return (acc * combined + layer.bias.astype(np.float64)).astype(np.float32)
 
 
-class QuantizedEncoderLayer:
-    """Encoder layer with quantized linears and float layer norms."""
-
-    __slots__ = ("wq", "wk", "wv", "wo", "wf1", "wf2", "ln1_g", "ln1_b", "ln2_g", "ln2_b")
-
-    def __init__(self, **fields):
-        for name in self.__slots__:
-            setattr(self, name, fields[name])
+def _qlinear(x: Tensor, w: QuantizedLinear, b: None) -> Tensor:
+    """The int8 model's linear kernel; w carries the bias, b is None."""
+    return Tensor(qlinear_forward(x.data, w))
 
 
-class QuantizedModel:
+class QuantizedModel(_Network):
     """Inference-only model with int8 linear layers.
 
     The conv frontend, positional table and layer norms keep their
-    float32 values; attention scores and softmax always run on float
-    tensors (attention_core refuses anything else).  After prepack()
-    the model is read-only and safe to share across threads.
+    float32 values as constant Tensors; attention scores and softmax
+    always run on float tensors (attention_core refuses anything else).
+    After prepack() the model is read-only and safe to share across
+    threads.
     """
-
-    def __init__(self, config: ModelConfig, conv, pos, layers, head: QuantizedLinear):
-        self.config = config
-        self.conv = conv
-        self.pos = pos
-        self.layers = layers
-        self.head = head
-
-    # -- bookkeeping ------------------------------------------------------
 
     def named_linears(self) -> list:
         """(name, QuantizedLinear) pairs in checkpoint order."""
-        out = []
-        for i, layer in enumerate(self.layers):
-            for f in LINEAR_FIELDS:
-                out.append((f"layer{i}.{f}", getattr(layer, f)))
-        out.append(("head.w", self.head))
-        return out
+        return [(n, p) for n, p in self.named_params() if isinstance(p, QuantizedLinear)]
 
     def unpack_count(self) -> int:
         return sum(lin.unpack_count for _, lin in self.named_linears())
@@ -262,32 +231,16 @@ class QuantizedModel:
         for _, lin in self.named_linears():
             lin.unpack_count = 0
 
-    # -- inference --------------------------------------------------------
-
     def infer(self, waveform) -> np.ndarray:
         """Per-frame logits of shape (N, n_tokens) for one utterance."""
-        data = np.asarray(waveform)
-        if data.ndim != 1:
-            raise ShapeError(f"infer: expected a 1-D waveform, got shape {data.shape}")
-        n = self.config.n_frames(data.shape[0])
-        if n > self.config.max_frames:
-            raise ShapeError(
-                f"utterance needs {n} frames but max_frames is {self.config.max_frames}"
-            )
-        x = Tensor(np.ascontiguousarray(data[None, :], dtype=np.float32))
-        for w, b, stride in self.conv:
-            x = gelu(add(conv1d(x, Tensor(w), stride), Tensor(b)))
-        h = transpose(x).data + self.pos[:n]
-        for layer in self.layers:
-            q = qlinear_forward(h, layer.wq)
-            k = qlinear_forward(h, layer.wk)
-            v = qlinear_forward(h, layer.wv)
-            core = attention_core(Tensor(q), Tensor(k), Tensor(v), self.config.n_heads)
-            o = qlinear_forward(core.data, layer.wo)
-            h = layer_norm(Tensor(h + o), Tensor(layer.ln1_g), Tensor(layer.ln1_b)).data
-            ff = qlinear_forward(gelu(Tensor(qlinear_forward(h, layer.wf1))).data, layer.wf2)
-            h = layer_norm(Tensor(h + ff), Tensor(layer.ln2_g), Tensor(layer.ln2_b)).data
-        return qlinear_forward(h, self.head)
+        logits, _ = self._forward(waveform, _qlinear)
+        return logits.data
+
+
+def _bias_name(weight_name: str) -> str:
+    """Canonical name of a linear's bias: layer0.wf1 -> layer0.bf1, head.w -> head.b."""
+    prefix, _, field = weight_name.rpartition(".")
+    return f"{prefix}.b{field[1:]}"
 
 
 def quantize_model(model: AcousticModel) -> QuantizedModel:
@@ -300,22 +253,16 @@ def quantize_model(model: AcousticModel) -> QuantizedModel:
         raise TypeError("quantize_model: model is already quantized")
     if not isinstance(model, AcousticModel):
         raise TypeError(f"quantize_model: expected an AcousticModel, got {type(model)!r}")
-    conv = [
-        (lyr.w.data.astype(np.float32, copy=True), lyr.b.data.astype(np.float32, copy=True), lyr.stride)
-        for lyr in model.conv
-    ]
-    pos = model.pos.data.astype(np.float32, copy=True)
-    layers = []
-    for src in model.layers:
-        fields = {}
-        for f in LINEAR_FIELDS:
-            bias = getattr(src, _BIAS_FOR[f]).data
-            fields[f] = QuantizedLinear.from_float(getattr(src, f).data, bias)
-        for f in ("ln1_g", "ln1_b", "ln2_g", "ln2_b"):
-            fields[f] = getattr(src, f).data.astype(np.float32, copy=True)
-        layers.append(QuantizedEncoderLayer(**fields))
-    head = QuantizedLinear.from_float(model.head_w.data, model.head_b.data)
-    return QuantizedModel(model.config, conv, pos, layers, head)
+    source = dict(model.named_params())
+    params = {}
+    for name in _linear_weight_names(model.config):
+        bias = _bias_name(name)
+        params[name] = QuantizedLinear.from_float(source[name].data, source[bias].data)
+        params[bias] = None
+    for name, t in source.items():
+        if name not in params:
+            params[name] = Tensor(t.data.astype(np.float32, copy=True))
+    return QuantizedModel(model.config, params)
 
 
 def prepack(qmodel: QuantizedModel) -> QuantizedModel:
@@ -329,12 +276,10 @@ def prepack(qmodel: QuantizedModel) -> QuantizedModel:
 # size accounting and the SWQ8 checkpoint format (see docs/formats.md)
 
 
-def _linear_weight_names(config: ModelConfig) -> set:
-    names = {"head.w"}
-    for i in range(config.n_transformer_layers):
-        for f in LINEAR_FIELDS:
-            names.add(f"layer{i}.{f}")
-    return names
+def _linear_weight_names(config: ModelConfig) -> list:
+    """Weight names of the quantized linears, in checkpoint order."""
+    layers = range(config.n_transformer_layers)
+    return [f"layer{i}.{f}" for i in layers for f in LINEAR_FIELDS] + ["head.w"]
 
 
 def quantized_checkpoint_bytes(config: ModelConfig) -> int:
@@ -361,35 +306,20 @@ def model_size_bytes(model) -> int:
 
 
 def save_quantized_model(qmodel: QuantizedModel, path) -> None:
-    skip = _linear_weight_names(qmodel.config)
-    floats = _float_payload_arrays(qmodel)
     blob = [QMAGIC, struct.pack("<I", QFORMAT_VERSION), _pack_config(qmodel.config)]
-    for name, _ in _param_shapes(qmodel.config):
-        if name in skip:
-            continue
-        blob.append(np.ascontiguousarray(floats[name], dtype="<f4").tobytes())
-    for _, lin in qmodel.named_linears():
+    linears = qmodel.named_linears()
+    biases = {_bias_name(name): lin.bias for name, lin in linears}
+    for name, part in qmodel.named_params():
+        if isinstance(part, Tensor):
+            blob.append(np.ascontiguousarray(part.data, dtype="<f4").tobytes())
+        elif part is None:
+            blob.append(np.ascontiguousarray(biases[name], dtype="<f4").tobytes())
+    for _, lin in linears:
         blob.append(struct.pack("<f", lin.w_params.scale))
         blob.append(struct.pack("<i", lin.w_params.zero_point))
         blob.append(np.ascontiguousarray(lin.w_q, dtype=np.int8).tobytes())
     with open(path, "wb") as fh:
         fh.write(b"".join(blob))
-
-
-def _float_payload_arrays(qmodel: QuantizedModel) -> dict:
-    """Non-quantized tensors keyed by their canonical parameter names."""
-    out = {}
-    for i, (w, b, _) in enumerate(qmodel.conv):
-        out[f"conv{i}.w"] = w
-        out[f"conv{i}.b"] = b
-    out["pos"] = qmodel.pos
-    for i, layer in enumerate(qmodel.layers):
-        for f in ("ln1_g", "ln1_b", "ln2_g", "ln2_b"):
-            out[f"layer{i}.{f}"] = getattr(layer, f)
-        for f in LINEAR_FIELDS:
-            out[f"layer{i}.{_BIAS_FOR[f]}"] = getattr(layer, f).bias
-    out["head.b"] = qmodel.head.bias
-    return out
 
 
 def load_quantized_model(path) -> QuantizedModel:
@@ -403,23 +333,21 @@ def load_quantized_model(path) -> QuantizedModel:
     if len(payload) > expected:
         raise TruncatedError(f"{len(payload) - expected} trailing bytes after payload")
 
-    skip = _linear_weight_names(config)
+    linear_names = _linear_weight_names(config)
     shapes = dict(_param_shapes(config))
-    floats = {}
+    params = {}
     cursor = offset
     for name, shape in _param_shapes(config):
-        if name in skip:
+        if name in linear_names:
             continue
         n = int(np.prod(shape))
-        floats[name] = (
+        params[name] = Tensor(
             np.frombuffer(raw, dtype="<f4", count=n, offset=cursor)
             .reshape(shape)
             .astype(np.float32, copy=True)
         )
         cursor += 4 * n
-
-    def read_linear(name):
-        nonlocal cursor
+    for name in linear_names:
         (scale,) = struct.unpack_from("<f", raw, cursor)
         (zp,) = struct.unpack_from("<i", raw, cursor + 4)
         cursor += QUANT_PARAMS_BYTES
@@ -431,20 +359,8 @@ def load_quantized_model(path) -> QuantizedModel:
             .copy()
         )
         cursor += n
-        return w_q, QuantParams(scale=float(scale), zero_point=int(zp))
-
-    conv = []
-    for i, (_, _, stride) in enumerate(config.conv_layers):
-        conv.append((floats[f"conv{i}.w"], floats[f"conv{i}.b"], stride))
-    layers = []
-    for i in range(config.n_transformer_layers):
-        fields = {}
-        for f in LINEAR_FIELDS:
-            w_q, params = read_linear(f"layer{i}.{f}")
-            fields[f] = QuantizedLinear(w_q, params, floats[f"layer{i}.{_BIAS_FOR[f]}"])
-        for f in ("ln1_g", "ln1_b", "ln2_g", "ln2_b"):
-            fields[f] = floats[f"layer{i}.{f}"]
-        layers.append(QuantizedEncoderLayer(**fields))
-    w_q, params = read_linear("head.w")
-    head = QuantizedLinear(w_q, params, floats["head.b"])
-    return QuantizedModel(config, conv, floats["pos"], layers, head)
+        bias = _bias_name(name)
+        w_params = QuantParams(scale=float(scale), zero_point=int(zp))
+        params[name] = QuantizedLinear(w_q, w_params, params[bias].data)
+        params[bias] = None
+    return QuantizedModel(config, params)

@@ -4,13 +4,18 @@ Small closure-tape design: every op returns a Tensor that remembers its
 parents and a backward closure.  Calling ``backward()`` on a scalar loss
 walks the tape in reverse topological order and accumulates gradients
 with ``+=`` into every tensor that requires them.  There is no implicit
-zeroing; optimizers must clear gradients between steps.
+zeroing; optimizers must clear gradients between steps.  Inside a
+``no_grad()`` block ops build no tape at all, for inference and frozen
+teachers.
 
 Only the ops the acoustic model needs are provided.  Shapes are checked
 eagerly and failures name both operands.
 """
 
 from __future__ import annotations
+
+import threading
+from contextlib import contextmanager
 
 import numpy as np
 from scipy.special import erf
@@ -20,6 +25,7 @@ __all__ = [
     "ShapeError",
     "NumericError",
     "Rng",
+    "no_grad",
     "add",
     "sub",
     "neg",
@@ -201,9 +207,33 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g
 
 
-def _make(data, parents, backward, requires_grad=None) -> Tensor:
-    if requires_grad is None:
-        requires_grad = any(p.requires_grad for p in parents)
+class _GradMode(threading.local):
+    off = False
+
+
+_grad_mode = _GradMode()
+
+
+@contextmanager
+def no_grad():
+    """Build no tape in this thread while the block runs.
+
+    Every op returns a constant tensor (no parents, requires_grad False),
+    whatever its inputs require.  No tensor's requires_grad flag is
+    written, so other threads sharing the same parameters keep building
+    their tapes.  Blocks nest, and the previous mode comes back on exit,
+    also when the block raises.
+    """
+    was = _grad_mode.off
+    _grad_mode.off = True
+    try:
+        yield
+    finally:
+        _grad_mode.off = was
+
+
+def _make(data, parents, backward) -> Tensor:
+    requires_grad = not _grad_mode.off and any(p.requires_grad for p in parents)
     out = Tensor(data, requires_grad=requires_grad)
     if requires_grad:
         out._parents = tuple(parents)

@@ -386,19 +386,22 @@ def test_criterion_09_prepack_is_faster_and_lossless():
     fresh = quantize_model(AcousticModel.init(cfg, seed=9))
     packed = prepack(quantize_model(AcousticModel.init(cfg, seed=9)))
 
-    def batch_seconds(model):
-        for w in waves[:3]:
-            model.infer(w)
-        totals = []
-        for _ in range(3):
-            t0 = time.perf_counter()
-            for w in waves:
+    def batch_seconds(models):
+        # Rounds alternate between the models, so host speed drift over
+        # the seconds this takes hits both alike.
+        for model in models:
+            for w in waves[:3]:
                 model.infer(w)
-            totals.append(time.perf_counter() - t0)
-        return float(np.median(totals))
+        totals = [[] for _ in models]
+        for _ in range(3):
+            for model, row in zip(models, totals):
+                t0 = time.perf_counter()
+                for w in waves:
+                    model.infer(w)
+                row.append(time.perf_counter() - t0)
+        return [float(np.median(row)) for row in totals]
 
-    t_fresh = batch_seconds(fresh)
-    t_packed = batch_seconds(packed)
+    t_fresh, t_packed = batch_seconds([fresh, packed])
     verdict(
         9,
         "prepacking changes no bits and wins the 100-utterance race",

@@ -265,22 +265,6 @@ def test_sweep_rejects_counts_beyond_teacher_depth(teacher, tiny_sets):
         run_tradeoff_sweep(teacher, [0], FAST_CFG, train, val, eval_set)
 
 
-def test_parallel_sweep_matches_sequential_outside_the_clock(teacher, tiny_sets):
-    train, val, eval_set = tiny_sets
-    seq = run_tradeoff_sweep(teacher, [1, 2], FAST_CFG, train, val, eval_set)
-    par = run_tradeoff_sweep(
-        teacher, [1, 2], FAST_CFG, train, val, eval_set, parallel=True
-    )
-    for a, b in zip(seq, par):
-        assert (a.model, a.layers, a.params, a.size_bytes, a.wer) == (
-            b.model,
-            b.layers,
-            b.params,
-            b.size_bytes,
-            b.wer,
-        )
-
-
 # ---------------------------------------------------------------------------
 # initialization and data-size experiments
 

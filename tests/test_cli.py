@@ -61,6 +61,9 @@ def test_parse_config_rejects_unknown_keys(tmp_path):
     path.write_text("dmodel = 32\n")
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config(path)
+    path.write_text("batch_size = 1\n")
+    with pytest.raises(ConfigError, match="unknown key"):
+        parse_config(path)
 
 
 def test_parse_config_rejects_garbage_values(tmp_path):

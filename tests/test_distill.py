@@ -235,8 +235,6 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         DistillConfig(base_lr=0.0)
     with pytest.raises(ConfigError):
-        DistillConfig(batch_size=2)
-    with pytest.raises(ConfigError):
         DistillConfig(temperature=0.0)
 
 

@@ -258,16 +258,6 @@ def test_prepack_is_bit_exact_and_stops_unpacking():
         assert np.array_equal(a, b)
 
 
-def test_prepacked_matrix_is_the_dequantized_weights():
-    _, qm = _tiny_quantized()
-    prepack(qm)
-    for name, lin in qm.named_linears():
-        expect = lin.w_q.astype(np.float32) * np.float32(lin.w_params.scale)
-        assert np.array_equal(lin.prepacked, expect), name
-        slow = lin.w_q.astype(np.float64) * lin.w_params.scale
-        assert np.allclose(lin.prepacked, slow, atol=1e-6), name
-
-
 def test_int8_tensors_cannot_reach_attention_scores():
     # A raw int8 buffer smuggled around the constructor (the way a buggy
     # quantized path would leak codes) is refused at the score gate.

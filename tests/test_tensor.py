@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from smallwav.tensor import (
     layer_norm,
     matmul,
     mul,
+    no_grad,
     softmax,
     square,
     tlog,
@@ -148,6 +151,93 @@ def test_no_tape_without_requires_grad():
     x = Tensor(np.ones((3, 3)))
     out = matmul(x, x)
     assert out._backward is None and out._parents == ()
+
+
+def test_no_grad_builds_no_tape_from_grad_leaves():
+    x = Tensor(np.ones((2, 3)), requires_grad=True)
+    w = Tensor(np.ones((3, 3)), requires_grad=True)
+    with no_grad():
+        outs = [matmul(x, w), gelu(add(matmul(x, w), 1.0)), tsum(x), x[:1]]
+    for out in outs:
+        assert not out.requires_grad
+        assert out._parents == () and out._backward is None
+    assert x.requires_grad and w.requires_grad
+    assert matmul(x, w).requires_grad
+
+
+def test_no_grad_restores_the_mode_after_nesting_and_errors():
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    with no_grad():
+        with no_grad():
+            assert not mul(x, x).requires_grad
+        assert not mul(x, x).requires_grad
+    assert mul(x, x).requires_grad
+    with pytest.raises(ShapeError):
+        with no_grad():
+            matmul(x, x)
+    assert mul(x, x).requires_grad
+
+
+def test_no_grad_is_per_thread():
+    x = Tensor([3.0], requires_grad=True)
+    entered, release = threading.Event(), threading.Event()
+    seen = []
+
+    def hold_no_grad():
+        with no_grad():
+            entered.set()
+            release.wait(timeout=10)
+            seen.append(mul(x, x).requires_grad)
+
+    worker = threading.Thread(target=hold_no_grad)
+    worker.start()
+    try:
+        assert entered.wait(timeout=10)
+        y = tsum(mul(x, x))
+        assert y.requires_grad
+        y.backward()
+        assert close(x.grad, [6.0])
+    finally:
+        release.set()
+        worker.join()
+    assert seen == [False]
+
+
+class _FlagRecorder(Tensor):
+    """A Tensor that logs every write to requires_grad after construction."""
+
+    __slots__ = ("writes",)
+
+    def __setattr__(self, name, value):
+        if name == "requires_grad" and hasattr(self, "writes"):
+            self.writes.append(value)
+        object.__setattr__(self, name, value)
+
+
+def _recorded(t):
+    out = _FlagRecorder(t.data, requires_grad=t.requires_grad)
+    out.writes = []
+    return out
+
+
+def test_no_grad_never_writes_requires_grad():
+    w = _recorded(Tensor(np.ones((2, 2)), requires_grad=True))
+    with no_grad():
+        matmul(w, w)
+        layer_norm(w, np.ones(2), np.zeros(2))
+    assert w.writes == [] and w.requires_grad
+
+    # Inference on a model whose parameters are shared with training.
+    from smallwav.model import AcousticModel, ModelConfig
+
+    cfg = ModelConfig(
+        conv_layers=((8, 6, 2), (16, 4, 2)), d_model=16, n_transformer_layers=1,
+        n_heads=2, ffn_dim=32, max_frames=64,
+    )
+    params = {n: _recorded(t) for n, t in AcousticModel.init(cfg, seed=1).named_params()}
+    model = AcousticModel(cfg, params)
+    model.infer(np.zeros(120, dtype=np.float32))
+    assert all(t.writes == [] and t.requires_grad for t in params.values())
 
 
 def test_float32_stays_float32():
