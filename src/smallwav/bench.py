@@ -187,6 +187,8 @@ def train_teacher(
     """
     if boundary is None:
         boundary = model_config.n_tokens - 1
+    if not val:
+        raise ConfigError("train_teacher: validation set must be nonempty")
     curriculum = len(train) >= CURRICULUM_MIN_UTTERANCES
     model = AcousticModel.init(model_config, seed=cfg.seed)
     if curriculum:
@@ -196,7 +198,7 @@ def train_teacher(
     shuffler = Rng(cfg.seed)
     history = []
     best = model.copy()
-    best_val = _teacher_val_loss(model, val)
+    best_val, _ = _teacher_val(model, val, boundary)
     for epoch in range(cfg.epochs):
         lr = lr_at(epoch, cfg)
         total = 0.0
@@ -213,14 +215,14 @@ def train_teacher(
             loss.backward()
             adamw_step(params, [p.grad for p in params], state, lr, cfg)
             total += loss.item()
-        val_loss = _teacher_val_loss(model, val)
+        val_loss, val_wer = _teacher_val(model, val, boundary)
         history.append(
             TeacherEpoch(
                 epoch=epoch,
                 lr=lr,
                 train_loss=total / max(len(train), 1),
                 val_loss=val_loss,
-                val_wer=eval_wer(model, val, boundary),
+                val_wer=val_wer,
             )
         )
         if val_loss < best_val:
@@ -249,15 +251,17 @@ def _teacher_steps(train, order, config: ModelConfig, join: bool):
         yield wave, transcript
 
 
-def _teacher_val_loss(model: AcousticModel, val) -> float:
-    if not len(val):
-        return 0.0
+def _teacher_val(model: AcousticModel, val, boundary: int) -> tuple:
+    """Mean CTC loss and WER (percent) over val, one forward per utterance."""
     total = 0.0
+    refs, hyps = [], []
     with no_grad():
         for wave, transcript in val:
             logits, _ = model.forward(wave)
             total += ctc_loss(logits, transcript).item()
-    return total / len(val)
+            refs.append(list(transcript))
+            hyps.append(best_path_decode(logits.data))
+    return total / len(val), 100.0 * wer(refs, hyps, boundary=boundary).wer
 
 
 def write_teacher_history_csv(history, path) -> None:

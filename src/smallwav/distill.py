@@ -2,9 +2,12 @@
 
 The training signal is KL(teacher || student) between per-frame token
 distributions, averaged over frames, plus a small penalty on the energy
-of the student's conv features.  The teacher is always detached; only
-student weights move.  Updates come from AdamW with decoupled weight
-decay and a per-epoch warmup/decay learning-rate ramp.
+of the student's conv features.  The teacher is frozen and always
+detached; only student weights move.  Its logits are a fixed function
+of each utterance, so a distill() call runs the teacher once per
+utterance, off the tape, and every step and evaluation reads those.
+Updates come from AdamW with decoupled weight decay and a per-epoch
+warmup/decay learning-rate ramp.
 
 Both KL terms go through the same log path, so a student that matches
 the teacher bit for bit yields a loss of exactly zero even in float32.
@@ -262,19 +265,33 @@ def read_history_rows(path) -> list:
         ]
 
 
+def teacher_logits(teacher: AcousticModel, dataset) -> list:
+    """The teacher's logits for each utterance of a dataset, off the tape."""
+    with no_grad():
+        return [teacher.forward(wave)[0] for wave, _ in dataset]
+
+
 def evaluate(
-    teacher: AcousticModel,
+    targets: list,
     student: AcousticModel,
     val_set,
     cfg: DistillConfig,
     boundary: int,
 ) -> tuple:
-    """Mean objective and WER (percent) of the student on a dataset."""
+    """Mean objective and WER (percent) of the student on a dataset.
+
+    targets holds the teacher's logits for each utterance of val_set,
+    in order, as teacher_logits() builds them.
+    """
+    if len(targets) != len(val_set):
+        raise ValueError(
+            f"evaluate: {len(targets)} teacher logits for "
+            f"{len(val_set)} utterances"
+        )
     totals = []
     refs, hyps = [], []
     with no_grad():
-        for wave, transcript in val_set:
-            t_logits, _ = teacher.forward(wave)
+        for t_logits, (wave, transcript) in zip(targets, val_set):
             s_logits, s_conv = student.forward(wave)
             lb = objective(t_logits, s_logits, s_conv, cfg)
             totals.append(float(lb.total.data))
@@ -299,6 +316,10 @@ def distill(
     recorded after every epoch; the returned model is the snapshot with
     the lowest validation loss (the input model is not mutated).
 
+    The teacher runs once per utterance per call: on val_set before the
+    first evaluation, and on train_set before the first epoch.  Steps
+    and evaluations read those logits.
+
     Returns:
         (best_student, DistillHistory)
     """
@@ -307,11 +328,13 @@ def distill(
     if not train_set or not val_set:
         raise ConfigError("distill: train and validation sets must be nonempty")
     student = student.copy()
-    init_total, init_wer = evaluate(teacher, student, val_set, cfg, boundary)
+    val_targets = teacher_logits(teacher, val_set)
+    init_total, init_wer = evaluate(val_targets, student, val_set, cfg, boundary)
     history = DistillHistory(init_total, init_wer)
     if cfg.epochs == 0:
         return student, history
 
+    train_targets = teacher_logits(teacher, train_set)
     params = student.params()
     state = init_adam_state(params)
     shuffler = Rng(cfg.seed)
@@ -322,10 +345,8 @@ def distill(
         sums = np.zeros(3)
         for idx in order:
             wave, _ = train_set[int(idx)]
-            with no_grad():
-                t_logits, _ = teacher.forward(wave)
             s_logits, s_conv = student.forward(wave)
-            lb = objective(t_logits, s_logits, s_conv, cfg)
+            lb = objective(train_targets[int(idx)], s_logits, s_conv, cfg)
             student.zero_grad()
             lb.total.backward()
             adamw_step(params, [p.grad for p in params], state, lr, cfg)
@@ -334,7 +355,7 @@ def distill(
                 float(lb.distill.data),
                 float(lb.feature.data),
             )
-        val_total, val_wer = evaluate(teacher, student, val_set, cfg, boundary)
+        val_total, val_wer = evaluate(val_targets, student, val_set, cfg, boundary)
         mean = sums / len(train_set)
         history.epochs.append(
             EpochStats(epoch, lr, mean[0], mean[1], mean[2], val_total, val_wer)

@@ -155,7 +155,8 @@ class QuantizedLinear:
     @classmethod
     def from_float(cls, w, bias) -> "QuantizedLinear":
         q, params = quantize_weights(w)
-        return cls(q, params, np.asarray(bias, dtype=np.float32))
+        # A copy, so training the float model later leaves this one alone.
+        return cls(q, params, np.array(bias, dtype=np.float32))
 
     def prepack(self) -> None:
         """Cache the kernel operand; forward output bits do not change.

@@ -20,6 +20,7 @@ from smallwav.distill import (
     lr_at,
     objective,
     read_history_rows,
+    teacher_logits,
     write_history_csv,
 )
 from smallwav.model import AcousticModel, ConfigError, LayerSelection, ModelConfig, init_student
@@ -382,8 +383,54 @@ def test_returned_model_has_best_val_loss():
     best_recorded = min(
         [history.initial_val_total] + [r.val_total for r in history.epochs]
     )
-    got, _ = evaluate(teacher, best, val, cfg, boundary=MODEL_CFG.n_tokens - 1)
+    targets = teacher_logits(teacher, val)
+    got, _ = evaluate(targets, best, val, cfg, boundary=MODEL_CFG.n_tokens - 1)
     assert close(got, best_recorded, rtol=1e-6)
+
+
+def _count_forwards(model):
+    """Wrap one instance's forward with a call counter; return the counter."""
+    calls = []
+    forward = model.forward
+
+    def counted(wave):
+        calls.append(len(wave))
+        return forward(wave)
+
+    model.forward = counted
+    return calls
+
+
+@pytest.mark.parametrize("epochs", [1, 3])
+def test_distill_runs_the_teacher_once_per_utterance(epochs):
+    teacher, student, train, val = tiny_setup()
+    calls = _count_forwards(teacher)
+    distill(teacher, student, train, val, DistillConfig(epochs=epochs, warmup_epochs=0))
+    assert len(calls) == len(train) + len(val)
+
+
+def test_distill_without_epochs_runs_the_teacher_on_val_only():
+    teacher, student, train, val = tiny_setup()
+    calls = _count_forwards(teacher)
+    distill(teacher, student, train, val, DistillConfig(epochs=0))
+    assert calls == [len(wave) for wave, _ in val]
+
+
+def test_teacher_logits_carry_no_tape():
+    teacher, _, train, _ = tiny_setup()
+    assert all(p.requires_grad for p in teacher.params())
+    targets = teacher_logits(teacher, train)
+    assert len(targets) == len(train)
+    for t, (wave, _) in zip(targets, train):
+        assert not t.requires_grad
+        assert t._parents == ()
+        assert np.array_equal(t.data, teacher.infer(wave))
+
+
+def test_evaluate_rejects_logits_for_a_set_of_another_length():
+    teacher, student, _, val = tiny_setup()
+    with pytest.raises(ValueError):
+        evaluate(teacher_logits(teacher, val[:1]), student, val, DistillConfig(), boundary=11)
 
 
 def test_history_csv_roundtrip(tmp_path):

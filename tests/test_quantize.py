@@ -215,6 +215,18 @@ def test_quantizing_twice_is_rejected():
         quantize_model("not a model")
 
 
+def test_editing_the_float_model_leaves_the_int8_copy_alone():
+    model, qm = _tiny_quantized()
+    head_bias = qm.head_w.bias.copy()
+    biases = [lin.bias.copy() for _, lin in qm.named_linears()]
+    model.head_b.data += 1
+    assert np.array_equal(qm.head_w.bias, head_bias)
+    for p in model.params():
+        p.data += 1
+    for (name, lin), before in zip(qm.named_linears(), biases):
+        assert np.array_equal(lin.bias, before), name
+
+
 def test_all_zero_model_stays_zero_through_both_paths():
     model = AcousticModel.init(SMALL_CFG, seed=5)
     for t in model.params():
