@@ -38,6 +38,7 @@ from .model import (
     sinusoidal_positions,
 )
 from .quantize import model_size_bytes, prepack, quantize_model
+from .table import read_table, write_table, write_text
 from .tensor import Rng, no_grad
 
 REPORT_COLUMNS = ("model", "layers", "params", "bytes", "cpu_s", "wer")
@@ -265,10 +266,11 @@ def _teacher_val(model: AcousticModel, val, boundary: int) -> tuple:
 
 
 def write_teacher_history_csv(history, path) -> None:
-    lines = [",".join(TEACHER_COLUMNS)]
-    for r in history:
-        lines.append(f"{r.epoch},{r.lr!r},{r.train_loss!r},{r.val_loss!r},{r.val_wer!r}")
-    _write_text(path, "\n".join(lines) + "\n")
+    rows = [
+        (r.epoch, float(r.lr), float(r.train_loss), float(r.val_loss), float(r.val_wer))
+        for r in history
+    ]
+    write_table(path, TEACHER_COLUMNS, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -385,35 +387,19 @@ def run_data_experiment(
 
 def emit_report(reports, path) -> None:
     """Write BenchReports as CSV with the fixed six-column header."""
-    lines = [",".join(REPORT_COLUMNS)]
-    for r in reports:
-        lines.append(f"{r.model},{r.layers},{r.params},{r.size_bytes},{r.cpu_s!r},{r.wer!r}")
-    _write_text(path, "\n".join(lines) + "\n")
+    rows = [
+        (r.model, r.layers, r.params, r.size_bytes, float(r.cpu_s), float(r.wer))
+        for r in reports
+    ]
+    write_table(path, REPORT_COLUMNS, rows)
 
 
 def read_report(path) -> list:
     """Parse emit_report output back into BenchReport records."""
-    try:
-        with open(path) as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise OSError(f"read_report: cannot read {path}: {exc}") from exc
-    if not lines or lines[0] != ",".join(REPORT_COLUMNS):
-        raise ValueError(f"not a bench report: bad header in {path}")
-    out = []
-    for line in lines[1:]:
-        model, layers, params, nbytes, cpu_s, w = line.split(",")
-        out.append(
-            BenchReport(
-                model=model,
-                layers=int(layers),
-                params=int(params),
-                size_bytes=int(nbytes),
-                cpu_s=float(cpu_s),
-                wer=float(w),
-            )
-        )
-    return out
+    return [
+        BenchReport(model, int(layers), int(params), int(nbytes), float(cpu_s), float(w))
+        for model, layers, params, nbytes, cpu_s, w in read_table(path, REPORT_COLUMNS)
+    ]
 
 
 def history_curve(history: DistillHistory) -> list:
@@ -426,21 +412,13 @@ def history_curve(history: DistillHistory) -> list:
 
 def write_curve(points, path) -> None:
     """Plot-data file: one "x y" pair per line."""
-    _write_text(path, "\n".join(f"{x} {y!r}" for x, y in points) + "\n")
+    write_text(path, "\n".join(f"{x} {y!r}" for x, y in points) + "\n")
 
 
 def read_curve(path) -> list:
     with open(path) as fh:
         lines = fh.read().splitlines()
     return [(int(a), float(b)) for a, b in (line.split() for line in lines)]
-
-
-def _write_text(path, text: str) -> None:
-    try:
-        with open(path, "w") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise OSError(f"cannot write {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,7 @@ from .quantize import (
     quantize_model,
     save_quantized_model,
 )
+from .table import write_table
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -356,14 +357,15 @@ def cmd_exp_data(args) -> int:
         else sorted({max(1, n // 4), max(1, n // 2), n})
     )
     results = run_data_experiment(teacher, k, sizes, distill_config_from(cfg, seed), train, val)
-    lines = ["size,final_val_total,final_val_wer"]
+    rows = []
     for size, hist in results:
         write_curve(history_curve(hist), os.path.join(out, f"data_{size}.dat"))
         final = hist.final()
-        lines.append(f"{size},{final.val_total!r},{final.val_wer!r}")
+        rows.append((size, float(final.val_total), float(final.val_wer)))
         print(f"{size:>5} utterances: val loss {final.val_total:.4f}, WER {final.val_wer:.2f}%")
-    with open(os.path.join(out, "data_summary.csv"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_table(
+        os.path.join(out, "data_summary.csv"), ("size", "final_val_total", "final_val_wer"), rows
+    )
     return 0
 
 

@@ -15,13 +15,13 @@ the teacher bit for bit yields a loss of exactly zero even in float32.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .decode import best_path_decode, wer
 from .model import AcousticModel, ConfigError
+from .table import write_table
 from .tensor import (
     Rng, Tensor, add, clamp_min, mul, no_grad, softmax, square, sub, tlog, tmean, tsum,
 )
@@ -244,25 +244,11 @@ HISTORY_COLUMNS = (
 
 
 def write_history_csv(history: DistillHistory, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(HISTORY_COLUMNS)
-        for row in history.epochs:
-            writer.writerow(
-                [row.epoch]
-                + [repr(float(getattr(row, c))) for c in HISTORY_COLUMNS[1:]]
-            )
-
-
-def read_history_rows(path) -> list:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header) != HISTORY_COLUMNS:
-            raise ValueError(f"unexpected history header {header}")
-        return [
-            EpochStats(int(r[0]), *(float(x) for x in r[1:])) for r in reader
-        ]
+    rows = [
+        [row.epoch] + [float(getattr(row, c)) for c in HISTORY_COLUMNS[1:]]
+        for row in history.epochs
+    ]
+    write_table(path, HISTORY_COLUMNS, rows)
 
 
 def teacher_logits(teacher: AcousticModel, dataset) -> list:

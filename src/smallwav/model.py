@@ -515,6 +515,16 @@ def _parse_header(raw: bytes, magic: bytes) -> tuple:
     return config, off
 
 
+#: weight-matrix fields of an encoder layer's linears
+LINEAR_FIELDS = ("wq", "wk", "wv", "wo", "wf1", "wf2")
+
+
+def linear_weight_names(config: ModelConfig) -> list:
+    """Names of the linear weight matrices, in canonical order, head.w last."""
+    layers = range(config.n_transformer_layers)
+    return [f"layer{i}.{f}" for i in layers for f in LINEAR_FIELDS] + ["head.w"]
+
+
 def _param_shapes(config: ModelConfig) -> list:
     shapes = []
     c_in = 1

@@ -19,21 +19,15 @@ from fnmatch import fnmatchcase
 
 import numpy as np
 
-from .model import AcousticModel, ConfigError, ModelConfig
-
-#: weight-matrix fields of an encoder layer that pruning touches
-_WEIGHT_FIELDS = ("wq", "wk", "wv", "wo", "wf1", "wf2")
+from .model import AcousticModel, ConfigError, ModelConfig, linear_weight_names
+from .table import write_table
 
 REPORT_COLUMNS = ("layer", "group", "sensitivity", "threshold", "pruned", "total", "sparsity")
 
 
 def prunable_names(config: ModelConfig) -> list:
     """Canonical names of the tensors pruning may touch, in model order."""
-    names = [f"conv{i}.w" for i in range(len(config.conv_layers))]
-    for i in range(config.n_transformer_layers):
-        names.extend(f"layer{i}.{f}" for f in _WEIGHT_FIELDS)
-    names.append("head.w")
-    return names
+    return [f"conv{i}.w" for i in range(len(config.conv_layers))] + linear_weight_names(config)
 
 
 @dataclass(frozen=True)
@@ -195,32 +189,9 @@ def sparsity(model: AcousticModel) -> float:
 
 
 def write_report_csv(report: PruneReport, path) -> None:
-    lines = [",".join(REPORT_COLUMNS)]
-    for r in report.rows:
-        lines.append(
-            f"{r.layer},{r.group},{r.sensitivity!r},{r.threshold!r},"
-            f"{r.pruned},{r.total},{r.sparsity!r}"
-        )
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def read_report_rows(path) -> list:
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != ",".join(REPORT_COLUMNS):
-        raise ValueError(f"not a sparsity report: bad header in {path}")
-    rows = []
-    for line in lines[1:]:
-        layer, group, s, t, pruned, total, _ = line.split(",")
-        rows.append(
-            PruneRow(
-                layer=layer,
-                group=group,
-                sensitivity=float(s),
-                threshold=float(t),
-                pruned=int(pruned),
-                total=int(total),
-            )
-        )
-    return rows
+    rows = [
+        (r.layer, r.group, float(r.sensitivity), float(r.threshold), r.pruned, r.total,
+         float(r.sparsity))
+        for r in report.rows
+    ]
+    write_table(path, REPORT_COLUMNS, rows)

@@ -34,6 +34,7 @@ from .model import (
     _param_shapes,
     _parse_header,
     count_params,
+    linear_weight_names,
 )
 from .model import checkpoint_bytes as float_checkpoint_bytes
 from .model import header_bytes as _header_bytes
@@ -44,9 +45,6 @@ QFORMAT_VERSION = 1
 
 #: serialized bytes per QuantParams record: float32 scale + int32 zero point
 QUANT_PARAMS_BYTES = 8
-
-#: weight-matrix fields of an encoder layer that get a QuantizedLinear
-LINEAR_FIELDS = ("wq", "wk", "wv", "wo", "wf1", "wf2")
 
 
 @dataclass(frozen=True)
@@ -256,7 +254,7 @@ def quantize_model(model: AcousticModel) -> QuantizedModel:
         raise TypeError(f"quantize_model: expected an AcousticModel, got {type(model)!r}")
     source = dict(model.named_params())
     params = {}
-    for name in _linear_weight_names(model.config):
+    for name in linear_weight_names(model.config):
         bias = _bias_name(name)
         params[name] = QuantizedLinear.from_float(source[name].data, source[bias].data)
         params[bias] = None
@@ -275,12 +273,6 @@ def prepack(qmodel: QuantizedModel) -> QuantizedModel:
 
 # ---------------------------------------------------------------------------
 # size accounting and the SWQ8 checkpoint format (see docs/formats.md)
-
-
-def _linear_weight_names(config: ModelConfig) -> list:
-    """Weight names of the quantized linears, in checkpoint order."""
-    layers = range(config.n_transformer_layers)
-    return [f"layer{i}.{f}" for i in layers for f in LINEAR_FIELDS] + ["head.w"]
 
 
 def quantized_checkpoint_bytes(config: ModelConfig) -> int:
@@ -334,7 +326,7 @@ def load_quantized_model(path) -> QuantizedModel:
     if len(payload) > expected:
         raise TruncatedError(f"{len(payload) - expected} trailing bytes after payload")
 
-    linear_names = _linear_weight_names(config)
+    linear_names = linear_weight_names(config)
     shapes = dict(_param_shapes(config))
     params = {}
     cursor = offset

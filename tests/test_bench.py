@@ -22,9 +22,10 @@ from smallwav.bench import (
     run_tradeoff_sweep,
     train_teacher,
     write_curve,
+    write_teacher_history_csv,
 )
 from smallwav.data import SynthSpec, generate_dataset
-from smallwav.distill import DistillConfig, lr_at
+from smallwav.distill import DistillConfig, DistillHistory, lr_at, write_history_csv
 from smallwav.model import (
     AcousticModel,
     ConfigError,
@@ -32,7 +33,9 @@ from smallwav.model import (
     checkpoint_bytes,
     count_params,
 )
+from smallwav.prune import PruneReport, write_report_csv
 from smallwav.quantize import quantized_checkpoint_bytes
+from smallwav.table import read_table, write_table
 
 SMALL_CFG = ModelConfig(
     conv_layers=((8, 6, 2), (16, 4, 2)),
@@ -93,16 +96,27 @@ def test_empty_report_is_header_only(tmp_path):
 
 def test_report_io_errors_name_the_path(tmp_path):
     missing_dir = tmp_path / "nope" / "r.csv"
-    with pytest.raises(OSError, match="nope"):
-        emit_report([], missing_dir)
-    with pytest.raises(OSError, match="gone.csv"):
+    writers = [
+        lambda p: emit_report([], p),
+        lambda p: write_teacher_history_csv([], p),
+        lambda p: write_history_csv(DistillHistory(1.0, 50.0), p),
+        lambda p: write_report_csv(PruneReport(rows=()), p),
+        # the data_summary.csv write of `smallwav exp-data`
+        lambda p: write_table(p, ("size", "final_val_total", "final_val_wer"), []),
+    ]
+    for write in writers:
+        with pytest.raises(OSError, match="cannot write .*nope"):
+            write(missing_dir)
+    with pytest.raises(OSError, match="cannot read .*gone.csv"):
         read_report(tmp_path / "gone.csv")
+    with pytest.raises(OSError, match="cannot read .*gone.csv"):
+        read_table(tmp_path / "gone.csv", ("size",))
 
 
 def test_foreign_csv_is_rejected(tmp_path):
     path = tmp_path / "other.csv"
     path.write_text("epoch,lr\n0,0.1\n")
-    with pytest.raises(ValueError, match="header"):
+    with pytest.raises(ValueError, match="header in .*other.csv"):
         read_report(path)
 
 

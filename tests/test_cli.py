@@ -14,7 +14,9 @@ from smallwav.config import (
     synth_spec_from,
 )
 from smallwav.data import SynthSpec, generate_dataset, load_dataset
-from smallwav.model import ConfigError, load_model
+from smallwav.model import AcousticModel, ConfigError, load_model, save_model
+from smallwav.prune import REPORT_COLUMNS
+from smallwav.table import read_table
 
 TINY_CFG_TEXT = """
 # micro model, micro run
@@ -144,6 +146,38 @@ def test_workflow_train_distill_quantize_prune_eval(tiny_cfg, tmp_path, capsys):
     shown = capsys.readouterr().out
     assert "WER" in shown and "token error rate" in shown
     assert os.path.exists(os.path.join(out, "eval_transcripts.txt"))
+
+    assert main(["sweep-layers", "--config", tiny_cfg, "--out", out, "--layers", "1"]) == 0
+    assert main(["exp-init", "--config", tiny_cfg, "--out", out, "--k", "1"]) == 0
+    assert main(["exp-data", "--config", tiny_cfg, "--out", out, "--sizes", "2"]) == 0
+    tables = sorted(f for f in os.listdir(out) if f.endswith(".csv"))
+    assert tables == [
+        "data_summary.csv",
+        "history.csv",
+        "init_alternating.csv",
+        "init_last_k.csv",
+        "sparsity.csv",
+        "sweep.csv",
+        "teacher_history.csv",
+    ]
+    for name in tables:
+        with open(os.path.join(out, name), "rb") as fh:
+            assert b"\r" not in fh.read(), name
+
+
+def test_prune_reports_a_pattern_that_holds_a_comma(tiny_cfg, tmp_path):
+    # "[0,1]" is an fnmatch character class, so the pattern picks layer0.wq
+    # and layer1.wq; the comma must stay inside the report's group cell.
+    out = tmp_path / "run"
+    out.mkdir()
+    model_path = str(out / "m.swav")
+    save_model(AcousticModel.init(model_config_from(parse_config(tiny_cfg)), seed=0), model_path)
+    args = ["--sensitivity", "layer[0,1].wq=0.3", "--default-sensitivity", "0"]
+    assert main(["prune", "--config", tiny_cfg, "--out", str(out), "--model", model_path] + args) == 0
+    rows = read_table(out / "sparsity.csv", REPORT_COLUMNS)
+    assert all(len(r) == len(REPORT_COLUMNS) for r in rows)
+    picked = [(r[0], r[2]) for r in rows if r[1] == "layer[0,1].wq"]
+    assert picked == [("layer0.wq", "0.3"), ("layer1.wq", "0.3")]
 
 
 def test_distill_without_teacher_fails_cleanly(tiny_cfg, tmp_path, capsys):

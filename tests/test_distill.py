@@ -19,11 +19,11 @@ from smallwav.distill import (
     kl_distill_loss,
     lr_at,
     objective,
-    read_history_rows,
     teacher_logits,
     write_history_csv,
 )
 from smallwav.model import AcousticModel, ConfigError, LayerSelection, ModelConfig, init_student
+from smallwav.table import read_table
 from smallwav.tensor import Tensor
 
 from helpers import close, fd_check
@@ -443,5 +443,5 @@ def test_history_csv_roundtrip(tmp_path):
     write_history_csv(history, path)
     first = path.read_text().splitlines()[0]
     assert first == "epoch,lr,train_total,train_distill,train_feature,val_total,val_wer"
-    rows = read_history_rows(path)
-    assert rows == history.epochs
+    rows = read_table(path, HISTORY_COLUMNS)
+    assert [EpochStats(int(r[0]), *map(float, r[1:])) for r in rows] == history.epochs

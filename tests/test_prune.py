@@ -16,6 +16,7 @@ from smallwav.model import (
     save_model,
 )
 from smallwav.prune import (
+    REPORT_COLUMNS,
     PruneRow,
     SensitivityMap,
     default_sensitivity_map,
@@ -23,10 +24,10 @@ from smallwav.prune import (
     prunable_names,
     prune_layer,
     prune_model,
-    read_report_rows,
     sparsity,
     write_report_csv,
 )
+from smallwav.table import read_table
 
 SMALL_CFG = ModelConfig(
     conv_layers=((8, 6, 2), (16, 4, 2)),
@@ -233,12 +234,15 @@ def test_report_csv_round_trip(tmp_path):
     first = path.read_text().splitlines()[0]
     assert first == "layer,group,sensitivity,threshold,pruned,total,sparsity"
 
-    rows = read_report_rows(path)
+    rows = [
+        PruneRow(layer, group, float(s), float(t), int(pruned), int(total))
+        for layer, group, s, t, pruned, total, _ in read_table(path, REPORT_COLUMNS)
+    ]
     assert rows == list(report.rows)
 
 
 def test_report_csv_rejects_foreign_files(tmp_path):
     path = tmp_path / "other.csv"
     path.write_text("model,layers\nx,1\n")
-    with pytest.raises(ValueError):
-        read_report_rows(path)
+    with pytest.raises(ValueError, match="other.csv"):
+        read_table(path, REPORT_COLUMNS)
