@@ -20,14 +20,7 @@ import numpy as np
 
 from .ctc import ctc_loss
 from .decode import best_path_decode, wer
-from .distill import (
-    DistillConfig,
-    DistillHistory,
-    adamw_step,
-    distill,
-    init_adam_state,
-    lr_at,
-)
+from .distill import DistillConfig, DistillHistory, distill, fit
 from .model import (
     AcousticModel,
     ConfigError,
@@ -39,7 +32,7 @@ from .model import (
 )
 from .quantize import model_size_bytes, prepack, quantize_model
 from .table import read_table, write_table, write_text
-from .tensor import Rng, no_grad
+from .tensor import no_grad
 
 REPORT_COLUMNS = ("model", "layers", "params", "bytes", "cpu_s", "wer")
 
@@ -151,10 +144,11 @@ def train_teacher(
 ) -> tuple:
     """Train a fresh model with CTC loss on the synthetic task.
 
-    Uses the same optimizer and ramp schedule as distillation (cfg's
-    epochs, learning rates, decay), with per-epoch reshuffling drawn
-    from cfg.seed.  Returns the snapshot with the lowest validation
-    loss and the per-epoch history; train_loss is per utterance.
+    Runs distill.fit, the loop distillation runs too (cfg's epochs,
+    learning rates, decay and shuffling seed), with the CTC loss and
+    this function's step plan.  Returns the snapshot with the lowest
+    validation loss and the per-epoch history; train_loss is per
+    utterance.
 
     On a training set of CURRICULUM_MIN_UTTERANCES or more, the run
     follows a length curriculum.  On the lab's 160-utterance set it
@@ -188,48 +182,26 @@ def train_teacher(
     """
     if boundary is None:
         boundary = model_config.n_tokens - 1
-    if not val:
-        raise ConfigError("train_teacher: validation set must be nonempty")
+    if not train or not val:
+        raise ConfigError("train_teacher: train and validation sets must be nonempty")
     curriculum = len(train) >= CURRICULUM_MIN_UTTERANCES
     model = AcousticModel.init(model_config, seed=cfg.seed)
     if curriculum:
         model.pos.data[...] = sinusoidal_positions(model_config.max_frames, model_config.d_model)
-    params = model.params()
-    state = init_adam_state(params)
-    shuffler = Rng(cfg.seed)
-    history = []
-    best = model.copy()
-    best_val, _ = _teacher_val(model, val, boundary)
-    for epoch in range(cfg.epochs):
-        lr = lr_at(epoch, cfg)
-        total = 0.0
-        order = [int(i) for i in shuffler.child(epoch).permutation(len(train))]
-        join = False
-        if curriculum:
-            if epoch < cfg.warmup_epochs:
-                order.sort(key=lambda i: len(train[i][0]))
-            join = epoch >= JOIN_FROM_EPOCH
-        for wave, transcript in _teacher_steps(train, order, model_config, join):
-            logits, _ = model.forward(wave)
-            loss = ctc_loss(logits, transcript)
-            model.zero_grad()
-            loss.backward()
-            adamw_step(params, [p.grad for p in params], state, lr, cfg)
-            total += loss.item()
-        val_loss, val_wer = _teacher_val(model, val, boundary)
-        history.append(
-            TeacherEpoch(
-                epoch=epoch,
-                lr=lr,
-                train_loss=total / max(len(train), 1),
-                val_loss=val_loss,
-                val_wer=val_wer,
-            )
-        )
-        if val_loss < best_val:
-            best_val = val_loss
-            best = model.copy()
-    return best, history
+
+    def steps(epoch, order):
+        if curriculum and epoch < cfg.warmup_epochs:
+            order = sorted(order, key=lambda i: len(train[i][0]))
+        return _teacher_steps(train, order, model_config, curriculum and epoch >= JOIN_FROM_EPOCH)
+
+    def terms(m, step):
+        wave, transcript = step
+        return (ctc_loss(m.forward(wave)[0], transcript),)
+
+    best, _, rows = fit(
+        model, len(train), cfg, steps, terms, lambda m: _teacher_val(m, val, boundary)
+    )
+    return best, [TeacherEpoch(*row) for row in rows]
 
 
 def _teacher_steps(train, order, config: ModelConfig, join: bool):
@@ -413,12 +385,6 @@ def history_curve(history: DistillHistory) -> list:
 def write_curve(points, path) -> None:
     """Plot-data file: one "x y" pair per line."""
     write_text(path, "\n".join(f"{x} {y!r}" for x, y in points) + "\n")
-
-
-def read_curve(path) -> list:
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    return [(int(a), float(b)) for a, b in (line.split() for line in lines)]
 
 
 # ---------------------------------------------------------------------------

@@ -85,7 +85,7 @@ def model_config_from(cfg: dict) -> ModelConfig:
 def distill_config_from(cfg: dict, seed: int) -> DistillConfig:
     kwargs = {k: cfg[k] for k in _DISTILL_KEYS if k in cfg}
     kwargs["seed"] = seed
-    return DistillConfig(**kwargs)
+    return _trained(DistillConfig(**kwargs), "epochs")
 
 
 def teacher_config_from(cfg: dict, seed: int) -> DistillConfig:
@@ -97,15 +97,26 @@ def teacher_config_from(cfg: dict, seed: int) -> DistillConfig:
     bench.CURRICULUM_MIN_UTTERANCES or more, train_teacher adds its
     length curriculum to this schedule.
     """
-    return DistillConfig(
+    shared = {k: cfg[k] for k in ("weight_decay", "adam_betas", "adam_eps") if k in cfg}
+    config = DistillConfig(
         epochs=int(cfg.get("teacher_epochs", DRIVER_DEFAULTS["teacher_epochs"])),
         base_lr=float(cfg.get("teacher_base_lr", DRIVER_DEFAULTS["teacher_base_lr"])),
         warmup_epochs=int(cfg.get("teacher_warmup", DRIVER_DEFAULTS["teacher_warmup"])),
-        weight_decay=float(cfg.get("weight_decay", 0.01)),
-        adam_betas=tuple(cfg.get("adam_betas", (0.9, 0.98))),
-        adam_eps=float(cfg.get("adam_eps", 1e-6)),
         seed=seed,
+        **shared,
     )
+    return _trained(config, "teacher_epochs")
+
+
+def _trained(config: DistillConfig, key: str) -> DistillConfig:
+    """config, if it trains at least one epoch.
+
+    The subcommands save and report a trained model, so a run of zero
+    epochs has nothing to give them.
+    """
+    if config.epochs < 1:
+        raise ConfigError(f"{key} must be >= 1, got {config.epochs}")
+    return config
 
 
 def synth_spec_from(cfg: dict, seed: int, n_utterances: int | None = None) -> SynthSpec:

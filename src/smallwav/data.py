@@ -76,22 +76,6 @@ class SynthSpec:
         return sorted(self.frequencies)
 
 
-def check_tone_separation(spec: SynthSpec, window_samples: int) -> None:
-    """Require every tone pair to sit >= 2 DFT bins apart at this window.
-
-    The window is the analysis scale that must tell tones apart, in
-    practice the conv frontend's receptive field.
-    """
-    min_gap = 2.0 * spec.sample_rate / float(window_samples)
-    freqs = sorted(spec.frequencies.values())
-    for lo, hi in zip(freqs, freqs[1:]):
-        if hi - lo < min_gap:
-            raise ConfigError(
-                f"tones at {lo} and {hi} Hz are {hi - lo} Hz apart; "
-                f"a {window_samples}-sample window needs >= {min_gap:.1f} Hz"
-            )
-
-
 def _one_utterance(spec: SynthSpec, rng: Rng) -> tuple:
     lo, hi = spec.tokens_per_utterance
     n_tones = int(rng.integers(lo, hi + 1))

@@ -162,19 +162,7 @@ def format_transcript(tokens, boundary: int) -> str:
     return " ".join("|" if t == boundary else str(int(t)) for t in tokens)
 
 
-def parse_transcript(line: str, boundary: int) -> list:
-    out = []
-    for piece in line.split():
-        out.append(boundary if piece == "|" else int(piece))
-    return out
-
-
 def write_transcripts(path, seqs, boundary: int) -> None:
     with open(path, "w") as fh:
         for seq in seqs:
             fh.write(format_transcript(seq, boundary) + "\n")
-
-
-def read_transcripts(path, boundary: int) -> list:
-    with open(path) as fh:
-        return [parse_transcript(line, boundary) for line in fh.read().splitlines()]

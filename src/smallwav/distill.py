@@ -287,6 +287,46 @@ def evaluate(
     return float(np.mean(totals)), 100.0 * report.wer
 
 
+def fit(model: AcousticModel, n_items: int, cfg: DistillConfig, steps, loss, validate) -> tuple:
+    """The lab's one training loop, for the CTC teacher and the student alike.
+
+    Trains `model` in place for cfg.epochs.  Each epoch draws a fresh
+    order of range(n_items) from cfg.seed, and steps(epoch, order)
+    yields the items of that epoch's optimizer steps.  loss(model, item)
+    returns a tuple of scalar Tensors: AdamW at the epoch's lr_at rate
+    minimizes the first, and each is summed over the epoch's steps and
+    divided by n_items (>= 1) for the record.  validate(model) returns
+    (val_loss, val_wer); it runs before the first epoch and after each.
+
+    Returns:
+        (best, initial, rows): a copy of the model at its lowest
+        validation loss, the untrained model counting; validate's
+        result before training; and one tuple (epoch, lr, *train means,
+        val_loss, val_wer) per epoch.
+    """
+    params = model.params()
+    state = init_adam_state(params)
+    shuffler = Rng(cfg.seed)
+    initial = validate(model)
+    best = (initial[0], model.copy())
+    rows = []
+    for epoch in range(cfg.epochs):
+        lr = lr_at(epoch, cfg)
+        order = [int(i) for i in shuffler.child(epoch).permutation(n_items)]
+        sums = 0.0
+        for item in steps(epoch, order):
+            terms = loss(model, item)
+            model.zero_grad()
+            terms[0].backward()
+            adamw_step(params, [p.grad for p in params], state, lr, cfg)
+            sums += np.array([t.item() for t in terms])
+        val = validate(model)
+        rows.append((epoch, lr, *(sums / n_items).tolist(), *val))
+        if val[0] < best[0]:
+            best = (val[0], model.copy())
+    return best[1], initial, rows
+
+
 def distill(
     teacher: AcousticModel,
     student: AcousticModel,
@@ -297,14 +337,14 @@ def distill(
 ) -> tuple:
     """Distill `student` toward `teacher` on a fixed dataset.
 
-    Runs cfg.epochs passes, one optimizer step per utterance, order
-    reshuffled per epoch from cfg.seed.  Validation loss and WER are
+    Runs fit() for cfg.epochs passes, one optimizer step per utterance,
+    on the KL-plus-feature objective.  Validation loss and WER are
     recorded after every epoch; the returned model is the snapshot with
     the lowest validation loss (the input model is not mutated).
 
-    The teacher runs once per utterance per call: on val_set before the
-    first evaluation, and on train_set before the first epoch.  Steps
-    and evaluations read those logits.
+    The teacher runs once per utterance per call: on val_set, and on
+    train_set when there is an epoch to train.  Steps and evaluations
+    read those logits.
 
     Returns:
         (best_student, DistillHistory)
@@ -313,39 +353,20 @@ def distill(
         boundary = student.config.n_tokens - 1
     if not train_set or not val_set:
         raise ConfigError("distill: train and validation sets must be nonempty")
-    student = student.copy()
     val_targets = teacher_logits(teacher, val_set)
-    init_total, init_wer = evaluate(val_targets, student, val_set, cfg, boundary)
-    history = DistillHistory(init_total, init_wer)
-    if cfg.epochs == 0:
-        return student, history
+    train_targets = teacher_logits(teacher, train_set) if cfg.epochs else []
 
-    train_targets = teacher_logits(teacher, train_set)
-    params = student.params()
-    state = init_adam_state(params)
-    shuffler = Rng(cfg.seed)
-    best = (init_total, student.copy())
-    for epoch in range(cfg.epochs):
-        lr = lr_at(epoch, cfg)
-        order = shuffler.child(epoch).permutation(len(train_set))
-        sums = np.zeros(3)
-        for idx in order:
-            wave, _ = train_set[int(idx)]
-            s_logits, s_conv = student.forward(wave)
-            lb = objective(train_targets[int(idx)], s_logits, s_conv, cfg)
-            student.zero_grad()
-            lb.total.backward()
-            adamw_step(params, [p.grad for p in params], state, lr, cfg)
-            sums += (
-                float(lb.total.data),
-                float(lb.distill.data),
-                float(lb.feature.data),
-            )
-        val_total, val_wer = evaluate(val_targets, student, val_set, cfg, boundary)
-        mean = sums / len(train_set)
-        history.epochs.append(
-            EpochStats(epoch, lr, mean[0], mean[1], mean[2], val_total, val_wer)
-        )
-        if val_total < best[0]:
-            best = (val_total, student.copy())
-    return best[1], history
+    def terms(model, idx):
+        s_logits, s_conv = model.forward(train_set[idx][0])
+        lb = objective(train_targets[idx], s_logits, s_conv, cfg)
+        return lb.total, lb.distill, lb.feature
+
+    best, initial, rows = fit(
+        student.copy(),
+        len(train_set),
+        cfg,
+        lambda epoch, order: order,
+        terms,
+        lambda model: evaluate(val_targets, model, val_set, cfg, boundary),
+    )
+    return best, DistillHistory(*initial, [EpochStats(*row) for row in rows])

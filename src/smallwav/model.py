@@ -13,6 +13,7 @@ state), documented in docs/formats.md.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, replace
 
@@ -132,17 +133,7 @@ class ModelConfig:
 
 def count_params(config: ModelConfig) -> int:
     """Parameter count from the config alone, no model needed."""
-    total = 0
-    c_in = 1
-    for c_out, width, _ in config.conv_layers:
-        total += c_out * c_in * width + c_out
-        c_in = c_out
-    d, f = config.d_model, config.ffn_dim
-    total += config.max_frames * d
-    per_layer = 4 * (d * d + d) + (d * f + f) + (f * d + d) + 4 * d
-    total += config.n_transformer_layers * per_layer
-    total += d * config.n_tokens + config.n_tokens
-    return total
+    return sum(math.prod(shape) for _, shape in _param_shapes(config))
 
 
 @dataclass(frozen=True)
@@ -301,47 +292,28 @@ class AcousticModel(_Network):
 
     @classmethod
     def init(cls, config: ModelConfig, seed: int = 42) -> "AcousticModel":
-        """Fresh random model; identical config and seed give identical weights."""
+        """Fresh random model; identical config and seed give identical weights.
+
+        Weights draw from one stream in canonical order: conv kernels
+        at std sqrt(2 / fan_in), linear weights at sqrt(1 / fan_in), the
+        positional table at 0.02.  Layer-norm gains start at one, biases
+        and shifts at zero.
+        """
         rng = Rng(seed)
-        f32 = np.float32
+        linears = set(linear_weight_names(config))
         params = {}
-        c_in = 1
-        for i, (c_out, width, stride) in enumerate(config.conv_layers):
-            std = np.sqrt(2.0 / (c_in * width))
-            params[f"conv{i}.w"] = Tensor(
-                rng.normal((c_out, c_in, width), std=std, dtype=f32), requires_grad=True
-            )
-            params[f"conv{i}.b"] = Tensor(
-                np.zeros((c_out, 1), dtype=f32), requires_grad=True
-            )
-            c_in = c_out
-        d, f = config.d_model, config.ffn_dim
-        params["pos"] = Tensor(
-            rng.normal((config.max_frames, d), std=0.02, dtype=f32), requires_grad=True
-        )
-        for i in range(config.n_transformer_layers):
-            for name, (din, dout) in (
-                ("wq", (d, d)), ("wk", (d, d)), ("wv", (d, d)), ("wo", (d, d)),
-                ("wf1", (d, f)), ("wf2", (f, d)),
-            ):
-                std = np.sqrt(1.0 / din)
-                params[f"layer{i}.{name}"] = Tensor(
-                    rng.normal((din, dout), std=std, dtype=f32), requires_grad=True
-                )
-            for name, dim in (
-                ("bq", d), ("bk", d), ("bv", d), ("bo", d), ("bf1", f), ("bf2", d),
-            ):
-                params[f"layer{i}.{name}"] = Tensor(
-                    np.zeros(dim, dtype=f32), requires_grad=True
-                )
-            for name in ("ln1", "ln2"):
-                params[f"layer{i}.{name}_g"] = Tensor(np.ones(d, dtype=f32), requires_grad=True)
-                params[f"layer{i}.{name}_b"] = Tensor(np.zeros(d, dtype=f32), requires_grad=True)
-        params["head.w"] = Tensor(
-            rng.normal((d, config.n_tokens), std=np.sqrt(1.0 / d), dtype=f32),
-            requires_grad=True,
-        )
-        params["head.b"] = Tensor(np.zeros(config.n_tokens, dtype=f32), requires_grad=True)
+        for name, shape in _param_shapes(config):
+            if name in linears:
+                data = rng.normal(shape, std=np.sqrt(1.0 / shape[0]), dtype=np.float32)
+            elif len(shape) == 3:
+                data = rng.normal(shape, std=np.sqrt(2.0 / (shape[1] * shape[2])), dtype=np.float32)
+            elif name == "pos":
+                data = rng.normal(shape, std=0.02, dtype=np.float32)
+            elif name.endswith("_g"):
+                data = np.ones(shape, dtype=np.float32)
+            else:
+                data = np.zeros(shape, dtype=np.float32)
+            params[name] = Tensor(data, requires_grad=True)
         return cls(config, params)
 
     def params(self) -> list:

@@ -20,6 +20,7 @@ docs/formats.md.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -277,14 +278,14 @@ def prepack(qmodel: QuantizedModel) -> QuantizedModel:
 
 def quantized_checkpoint_bytes(config: ModelConfig) -> int:
     """Exact SWQ8 file size: header, float payload, per-tensor int8 records."""
-    d, f, depth = config.d_model, config.ffn_dim, config.n_transformer_layers
-    linear_elems = depth * (4 * d * d + 2 * d * f) + d * config.n_tokens
-    n_linears = 6 * depth + 1
+    shapes = dict(_param_shapes(config))
+    linears = linear_weight_names(config)
+    linear_elems = sum(math.prod(shapes[name]) for name in linears)
     float_params = count_params(config) - linear_elems
     return (
         _header_bytes(config)
         + 4 * float_params
-        + n_linears * QUANT_PARAMS_BYTES
+        + len(linears) * QUANT_PARAMS_BYTES
         + linear_elems
     )
 

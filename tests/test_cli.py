@@ -186,6 +186,26 @@ def test_distill_without_teacher_fails_cleanly(tiny_cfg, tmp_path, capsys):
     assert "train-teacher first" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key, command",
+    [
+        ("teacher_epochs", "train-teacher"),
+        ("epochs", "distill"),
+        ("epochs", "exp-init"),
+        ("epochs", "exp-data"),
+    ],
+)
+def test_zero_epochs_is_a_config_error(tiny_cfg, tmp_path, capsys, key, command):
+    path = tmp_path / "zero.cfg"
+    path.write_text(open(tiny_cfg).read() + f"{key} = 0\n")
+    out = tmp_path / "run"
+    out.mkdir()
+    teacher = AcousticModel.init(model_config_from(parse_config(path)), seed=0)
+    save_model(teacher, out / "teacher.swav")
+    assert main([command, "--config", str(path), "--out", str(out)]) == 2
+    assert f"error: {key} must be >= 1" in capsys.readouterr().err
+
+
 def test_explicit_selection_needs_indices(tiny_cfg, tmp_path, capsys):
     out = str(tmp_path / "run")
     assert main(["train-teacher", "--config", tiny_cfg, "--out", out]) == 0

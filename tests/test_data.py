@@ -4,7 +4,6 @@ from dataclasses import replace
 
 from smallwav.data import (
     SynthSpec,
-    check_tone_separation,
     default_frequencies,
     generate_dataset,
     load_dataset,
@@ -89,16 +88,6 @@ def test_spec_validation():
         SynthSpec(tokens_per_utterance=(0, 3))
     with pytest.raises(ConfigError):
         SynthSpec(segment_len=1)
-
-
-def test_tone_separation_guard():
-    spec = SynthSpec()
-    check_tone_separation(spec, window_samples=58)  # 600 Hz gaps vs 551.7 needed
-    with pytest.raises(ConfigError):
-        check_tone_separation(spec, window_samples=40)  # needs 800 Hz gaps
-    close = SynthSpec(frequencies={1: 1000.0, 2: 1100.0})
-    with pytest.raises(ConfigError):
-        check_tone_separation(close, window_samples=58)
 
 
 def test_default_frequencies_shape():

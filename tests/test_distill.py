@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from smallwav.distill import (
     distill,
     evaluate,
     feature_penalty,
+    fit,
     init_adam_state,
     kl_distill_loss,
     lr_at,
@@ -24,7 +27,7 @@ from smallwav.distill import (
 )
 from smallwav.model import AcousticModel, ConfigError, LayerSelection, ModelConfig, init_student
 from smallwav.table import read_table
-from smallwav.tensor import Tensor
+from smallwav.tensor import Tensor, add, square, tsum
 
 from helpers import close, fd_check
 
@@ -328,6 +331,38 @@ def tiny_setup():
     student = init_student(teacher, LayerSelection.alternating(1))
     ds = generate_dataset(DATA_SPEC)
     return teacher, student, ds[:4], ds[4:]
+
+
+def test_fit_validates_every_epoch_averages_per_item_and_keeps_the_best_snapshot():
+    model = AcousticModel.init(MODEL_CFG, seed=0)
+    cfg = DistillConfig(epochs=4, warmup_epochs=1, base_lr=1e-3, seed=3)
+    scripted = iter([5.0, 3.0, 1.0, 2.0, 4.0])  # lowest after epoch 1, then rising
+    seen, firsts = [], []
+
+    def validate(m):
+        seen.append(m.head_w.data.copy())
+        return next(scripted), 10.0 * len(seen)
+
+    def loss(m, items):
+        first = reduce(add, [tsum(square(p)) for p in m.params()])
+        firsts.append(first.item())
+        return first, Tensor(np.array(float(len(items))))
+
+    def steps(epoch, order):
+        assert sorted(order) == [0, 1, 2]
+        return [order[:2], order[2:]]  # two steps over three items, as joins do
+
+    best, initial, rows = fit(model, 3, cfg, steps, loss, validate)
+    assert len(seen) == cfg.epochs + 1
+    assert initial == (5.0, 10.0)
+    assert [r[0] for r in rows] == list(range(cfg.epochs))
+    assert [r[1] for r in rows] == [lr_at(e, cfg) for e in range(cfg.epochs)]
+    for e, row in enumerate(rows):
+        assert close(row[2], (firsts[2 * e] + firsts[2 * e + 1]) / 3, rtol=1e-12)
+        assert row[3] == 1.0  # (2 + 1) items over 3
+        assert row[4:] == ([3.0, 1.0, 2.0, 4.0][e], 10.0 * (e + 2))
+    assert np.array_equal(best.head_w.data, seen[2])
+    assert not np.array_equal(best.head_w.data, model.head_w.data)
 
 
 def test_distill_zero_epochs_is_identity():
