@@ -65,17 +65,16 @@ def ctc_loss(logits, targets, blank: int = 0) -> Tensor:
     if s > 2:
         skip[2:] = (z[2:] != blank) & (z[2:] != z[:-2])
 
-    alpha = np.full((n, s), NEG_INF)
+    # Two leading -inf columns: stay, step and jump are slices of a row.
+    padded = np.full((n, s + 2), NEG_INF)
+    alpha = padded[:, 2:]
     alpha[0, 0] = emit[0, 0]
     if s > 1:
         alpha[0, 1] = emit[0, 1]
     for t in range(1, n):
-        prev = alpha[t - 1]
-        stay = prev
-        step = np.concatenate(([NEG_INF], prev))[:s]
-        acc = np.logaddexp(stay, step)
-        jump = np.concatenate(([NEG_INF, NEG_INF], prev))[:s]
-        acc = np.where(skip, np.logaddexp(acc, jump), acc)
+        prev = padded[t - 1]
+        acc = np.logaddexp(prev[2:], prev[1:-1])
+        acc = np.where(skip, np.logaddexp(acc, prev[:-2]), acc)
         alpha[t] = emit[t] + acc
 
     tail = alpha[n - 1, s - 1]
@@ -93,15 +92,13 @@ def ctc_loss(logits, targets, blank: int = 0) -> Tensor:
         beta[n - 1, s - 1] = 0.0
         if s > 1:
             beta[n - 1, s - 2] = 0.0
+        # Two trailing -inf columns: stay, step and jump are slices of nxt.
+        nxt = np.full(s + 2, NEG_INF)
+        skip_ahead = np.append(skip, [False, False])[2:]
         for t in range(n - 2, -1, -1):
-            nxt = beta[t + 1] + emit[t + 1]
-            stay = nxt
-            step = np.concatenate((nxt, [NEG_INF]))[1 : s + 1]
-            acc = np.logaddexp(stay, step)
-            jump = np.concatenate((nxt, [NEG_INF, NEG_INF]))[2 : s + 2]
-            skip_ahead = np.concatenate((skip, [False, False]))[2 : s + 2]
-            acc = np.where(skip_ahead, np.logaddexp(acc, jump), acc)
-            beta[t] = acc
+            np.add(beta[t + 1], emit[t + 1], out=nxt[:s])
+            acc = np.logaddexp(nxt[:s], nxt[1:-1])
+            beta[t] = np.where(skip_ahead, np.logaddexp(acc, nxt[2:]), acc)
         with np.errstate(invalid="ignore"):
             gamma = np.exp(alpha + beta - log_z)  # (N, S) posteriors
         gamma[~np.isfinite(gamma)] = 0.0

@@ -191,9 +191,13 @@ def _lift(x, like: Tensor | None = None) -> Tensor:
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
+    if g.shape != t.shape:
+        raise ShapeError(f"gradient of shape {g.shape} for a tensor of shape {t.shape}")
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        # One pass in the tensor's own layout; 0 + g turns -0.0 into +0.0.
+        t.grad = np.add(g, 0, out=np.empty_like(t.data))
+    else:
+        t.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -501,18 +505,17 @@ def conv1d(x, kernels, stride: int) -> Tensor:
         )
     # (C_in, L', K) view of every window the kernel touches.
     windows = np.lib.stride_tricks.sliding_window_view(x.data, k, axis=1)[:, ::stride]
-    data = np.einsum("oik,ilk->ol", kernels.data, windows, optimize=True)
+    data = np.tensordot(windows, kernels.data, ([0, 2], [1, 2])).T
     l_out = data.shape[1]
 
     def bw(g):
         if kernels.requires_grad:
-            _accumulate(kernels, np.einsum("ol,ilk->oik", g, windows, optimize=True))
+            _accumulate(kernels, np.tensordot(g, windows, ([1], [1])))
         if x.requires_grad:
             gx = np.zeros_like(x.data)
             # Scatter each kernel tap back onto the strided input positions.
             for tap in range(k):
-                contrib = np.einsum("ol,oi->il", g, kernels.data[:, :, tap], optimize=True)
-                gx[:, tap : tap + stride * l_out : stride] += contrib
+                gx[:, tap : tap + stride * l_out : stride] += kernels.data[:, :, tap].T @ g
             _accumulate(x, gx)
 
     return _make(data, (x, kernels), bw)
@@ -543,28 +546,36 @@ def attention_core(q, k, v, n_heads: int) -> Tensor:
         )
     dh = d // n_heads
     scale = 1.0 / np.sqrt(dh)
-    qh = q.data.reshape(n, n_heads, dh)
-    kh = k.data.reshape(n, n_heads, dh)
-    vh = v.data.reshape(n, n_heads, dh)
-    scores = np.einsum("ihd,jhd->hij", qh, kh, optimize=True) * qh.dtype.type(scale)
+    # Heads-first (h, n, dh) views.  Each product keeps the layout that
+    # trained weights' bits depend on: scores and datt are (h, j, i)
+    # products seen transposed, so softmax sums run over a strided last
+    # axis, and the output is a column-major (N, d) view.
+    # tests/test_tensor.py keeps the reference contractions.
+    qt = q.data.reshape(n, n_heads, dh).transpose(1, 0, 2)
+    kt = k.data.reshape(n, n_heads, dh).transpose(1, 0, 2)
+    vt = v.data.reshape(n, n_heads, dh).transpose(1, 0, 2)
+    scores = np.matmul(kt, qt.transpose(0, 2, 1)).transpose(0, 2, 1) * qt.dtype.type(scale)
     scores -= scores.max(axis=-1, keepdims=True)
     e = np.exp(scores)
     att = e / e.sum(axis=-1, keepdims=True)
-    data = np.einsum("hij,jhd->ihd", att, vh, optimize=True).reshape(n, d)
+    data = np.matmul(vt.transpose(0, 2, 1), att.transpose(0, 2, 1)).transpose(2, 0, 1).reshape(n, d)
+
+    def merge(heads):
+        return heads.transpose(1, 0, 2).reshape(n, d)
 
     def bw(g):
-        gh = g.reshape(n, n_heads, dh)
+        gt = g.reshape(n, n_heads, dh).transpose(1, 0, 2)
         if v.requires_grad:
-            _accumulate(v, np.einsum("hij,ihd->jhd", att, gh, optimize=True).reshape(n, d))
+            _accumulate(v, merge(np.matmul(att.transpose(0, 2, 1), gt)))
         if not (q.requires_grad or k.requires_grad):
             return
-        datt = np.einsum("ihd,jhd->hij", gh, vh, optimize=True)
+        datt = np.matmul(vt, gt.transpose(0, 2, 1)).transpose(0, 2, 1)
         inner = (datt * att).sum(axis=-1, keepdims=True)
         dscore = att * (datt - inner) * att.dtype.type(scale)
         if q.requires_grad:
-            _accumulate(q, np.einsum("hij,jhd->ihd", dscore, kh, optimize=True).reshape(n, d))
+            _accumulate(q, merge(np.matmul(dscore, kt)))
         if k.requires_grad:
-            _accumulate(k, np.einsum("hij,ihd->jhd", dscore, qh, optimize=True).reshape(n, d))
+            _accumulate(k, merge(np.matmul(dscore.transpose(0, 2, 1), qt)))
 
     return _make(data, (q, k, v), bw)
 

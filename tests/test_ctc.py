@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from smallwav.ctc import ctc_loss, min_frames
+from smallwav.ctc import _log_softmax, ctc_loss, min_frames
 from smallwav.tensor import Tensor
 
 from helpers import close, fd_check
@@ -78,6 +78,79 @@ def test_gradient_matches_finite_differences():
         logits = rng.standard_normal((6, 4))
         ok, worst = fd_check(lambda lg: ctc_loss(lg, targets), [logits], rng=rng)
         assert ok, f"targets {targets}: worst gap {worst:.3e}"
+
+
+def concatenate_ctc(logits, targets):
+    """Loss and gradient by the shift-by-concatenate recursions, blank 0.
+
+    The reference for ctc_loss's slice-shifted loops: the same
+    logaddexp/where sequence, so both must agree to the bit.
+    """
+    n, m = logits.shape
+    z = np.zeros(2 * len(targets) + 1, dtype=np.int64)
+    z[1::2] = targets
+    s = z.shape[0]
+    logp = _log_softmax(logits.astype(np.float64))
+    emit = logp[:, z]
+    skip = np.zeros(s, dtype=bool)
+    if s > 2:
+        skip[2:] = (z[2:] != 0) & (z[2:] != z[:-2])
+    alpha = np.full((n, s), -np.inf)
+    alpha[0, 0] = emit[0, 0]
+    if s > 1:
+        alpha[0, 1] = emit[0, 1]
+    for t in range(1, n):
+        prev = alpha[t - 1]
+        acc = np.logaddexp(prev, np.concatenate(([-np.inf], prev))[:s])
+        jump = np.concatenate(([-np.inf, -np.inf], prev))[:s]
+        alpha[t] = emit[t] + np.where(skip, np.logaddexp(acc, jump), acc)
+    tail = alpha[n - 1, s - 1]
+    if s > 1:
+        tail = np.logaddexp(tail, alpha[n - 1, s - 2])
+    log_z = float(tail)
+    beta = np.full((n, s), -np.inf)
+    beta[n - 1, s - 1] = 0.0
+    if s > 1:
+        beta[n - 1, s - 2] = 0.0
+    for t in range(n - 2, -1, -1):
+        nxt = beta[t + 1] + emit[t + 1]
+        acc = np.logaddexp(nxt, np.concatenate((nxt, [-np.inf]))[1 : s + 1])
+        jump = np.concatenate((nxt, [-np.inf, -np.inf]))[2 : s + 2]
+        skip_ahead = np.concatenate((skip, [False, False]))[2 : s + 2]
+        beta[t] = np.where(skip_ahead, np.logaddexp(acc, jump), acc)
+    with np.errstate(invalid="ignore"):
+        gamma = np.exp(alpha + beta - log_z)
+    gamma[~np.isfinite(gamma)] = 0.0
+    posterior = np.zeros((n, m))
+    np.add.at(posterior.T, z, gamma.T)
+    grad = np.exp(logp) - posterior
+    return np.asarray(-log_z, dtype=logits.dtype), grad.astype(logits.dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize(
+    "targets,extra",
+    [
+        ([], 0),  # s = 1, one frame
+        ([], 6),
+        ([3], 0),
+        ([1, 2], 0),
+        ([2, 2], 0),  # a repeat at min_frames: the blank between is forced
+        ([4, 4, 4, 1], 0),
+        ([4, 4, 4, 1], 9),
+        ([1, 2, 1, 2, 3, 3, 5], 0),
+        ([1, 2, 1, 2, 3, 3, 5], 40),
+    ],
+)
+def test_loss_and_gradient_match_concatenate_recursions_bit_for_bit(targets, extra, dtype):
+    n = max(min_frames(targets), 1) + extra
+    rng = np.random.default_rng(len(targets) * 100 + extra)
+    logits = Tensor((3.0 * rng.standard_normal((n, 6))).astype(dtype), requires_grad=True)
+    loss = ctc_loss(logits, targets)
+    loss.backward()
+    loss_ref, grad_ref = concatenate_ctc(logits.data, targets)
+    assert loss.data.dtype == dtype and np.array_equal(loss.data, loss_ref)
+    assert np.array_equal(logits.grad, grad_ref)
 
 
 def test_gradient_rows_sum_to_zero():

@@ -11,6 +11,7 @@ from smallwav.tensor import (
     Rng,
     ShapeError,
     Tensor,
+    _accumulate,
     add,
     attention_core,
     clamp_min,
@@ -309,6 +310,104 @@ def test_attention_uniform_when_query_is_zero():
         Tensor(np.zeros((5, 8))), Tensor(rng.standard_normal((5, 8))), Tensor(v), n_heads=2
     )
     assert close(out.data, np.tile(v.mean(axis=0), (5, 1)))
+
+
+# ---------------------------------------------------------------------------
+# bit-exact against the einsum contractions the ops were written with
+#
+# The model's trained weights hash the same only if every product keeps
+# the values and the memory layout of these references: a softmax sum
+# over a strided axis adds in another order than over a contiguous one,
+# and a matmul reading a column-major operand may round differently.
+
+
+def einsum_conv1d(x, kernels, stride, g):
+    """Forward output and (dx, dkernels) for upstream gradient g."""
+    k = kernels.shape[2]
+    windows = np.lib.stride_tricks.sliding_window_view(x, k, axis=1)[:, ::stride]
+    out = np.einsum("oik,ilk->ol", kernels, windows, optimize=True)
+    l_out = out.shape[1]
+    dk = np.einsum("ol,ilk->oik", g, windows, optimize=True)
+    dx = np.zeros_like(x)
+    for tap in range(k):
+        contrib = np.einsum("ol,oi->il", g, kernels[:, :, tap], optimize=True)
+        dx[:, tap : tap + stride * l_out : stride] += contrib
+    return out, dx, dk
+
+
+def einsum_attention(q, k, v, n_heads, g):
+    """Forward output and (dq, dk, dv) for upstream gradient g."""
+    n, d = q.shape
+    dh = d // n_heads
+    scale = 1.0 / np.sqrt(dh)
+    qh, kh, vh = (a.reshape(n, n_heads, dh) for a in (q, k, v))
+    scores = np.einsum("ihd,jhd->hij", qh, kh, optimize=True) * qh.dtype.type(scale)
+    scores -= scores.max(axis=-1, keepdims=True)
+    e = np.exp(scores)
+    att = e / e.sum(axis=-1, keepdims=True)
+    out = np.einsum("hij,jhd->ihd", att, vh, optimize=True).reshape(n, d)
+    gh = g.reshape(n, n_heads, dh)
+    dv = np.einsum("hij,ihd->jhd", att, gh, optimize=True).reshape(n, d)
+    datt = np.einsum("ihd,jhd->hij", gh, vh, optimize=True)
+    inner = (datt * att).sum(axis=-1, keepdims=True)
+    dscore = att * (datt - inner) * att.dtype.type(scale)
+    dq = np.einsum("hij,jhd->ihd", dscore, kh, optimize=True).reshape(n, d)
+    dk = np.einsum("hij,ihd->jhd", dscore, qh, optimize=True).reshape(n, d)
+    return out, dq, dk, dv
+
+
+def test_attention_core_is_bit_exact_against_einsum():
+    rng = np.random.default_rng(17)
+    for n in range(1, 101):
+        q, k, v, g = (rng.standard_normal((n, 64)).astype(np.float32) for _ in range(4))
+        out_ref, *grads_ref = einsum_attention(q, k, v, 4, g)
+        tq, tk, tv = (Tensor(a, requires_grad=True) for a in (q, k, v))
+        out = attention_core(tq, tk, tv, n_heads=4)
+        out._backward(g)
+        assert np.array_equal(out.data, out_ref), f"forward differs at n={n}"
+        assert out.data.strides == out_ref.strides, f"forward layout differs at n={n}"
+        for name, t, ref in zip("qkv", (tq, tk, tv), grads_ref):
+            assert np.array_equal(t.grad, ref), f"d{name} differs at n={n}"
+
+
+@pytest.mark.parametrize("c_in,length,c_out,width", [(1, 480, 32, 16), (32, 233, 32, 8), (32, 113, 64, 8)])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_conv1d_is_bit_exact_against_einsum(c_in, length, c_out, width, order):
+    # The default ModelConfig's three conv layers at stride 2.  Inside the
+    # model the deeper layers read a transposed input, so both memory
+    # orders are checked, for the input and the upstream gradient.
+    rng = np.random.default_rng(c_in + length)
+    x = np.asarray(rng.standard_normal((c_in, length)), dtype=np.float32, order=order)
+    kernels = rng.standard_normal((c_out, c_in, width)).astype(np.float32)
+    l_out = (length - width) // 2 + 1
+    g = np.asarray(rng.standard_normal((c_out, l_out)), dtype=np.float32, order=order)
+    out_ref, dx_ref, dk_ref = einsum_conv1d(x, kernels, 2, g)
+    tx, tk = Tensor(x, requires_grad=True), Tensor(kernels, requires_grad=True)
+    out = conv1d(tx, tk, stride=2)
+    out._backward(g)
+    assert np.array_equal(out.data, out_ref) and out.data.strides == out_ref.strides
+    assert np.array_equal(tx.grad, dx_ref)
+    assert np.array_equal(tk.grad, dk_ref)
+
+
+def test_first_gradient_write_keeps_layout_and_clears_negative_zero():
+    t = Tensor(np.zeros((3, 2), dtype=np.float32).T, requires_grad=True)
+    g = np.array([[-0.0, 1.5, 2.0], [3.0, -0.0, 4.0]], dtype=np.float32)
+    _accumulate(t, g)
+    assert t.grad.strides == t.data.strides != g.strides
+    assert np.array_equal(t.grad, g) and t.grad.dtype == np.float32
+    assert not np.signbit(t.grad).any()
+    _accumulate(t, g)
+    assert np.array_equal(t.grad, 2 * g)
+
+
+def test_gradient_of_another_shape_is_rejected():
+    t = Tensor(np.zeros((2, 3)), requires_grad=True)
+    with pytest.raises(ShapeError, match=r"\(3, 2\).*\(2, 3\)"):
+        _accumulate(t, np.zeros((3, 2)))
+    _accumulate(t, np.ones((2, 3)))
+    with pytest.raises(ShapeError, match=r"\(3,\).*\(2, 3\)"):
+        _accumulate(t, np.ones(3))
 
 
 # ---------------------------------------------------------------------------
