@@ -2,14 +2,25 @@
 
 Weights are quantized per tensor once; activations get fresh scale and
 zero point per call.  The demo shows the size ledger, the output drift,
-and why prepacking the weight operands speeds up batch inference.
+and the speed of the float model next to the int8 model with and
+without prepacked weight operands.  numpy has no int8 GEMM, so the int8
+model runs float BLAS on integer codes and adds the quantization passes:
+it is smaller than the float model, not faster.
 """
 
 import time
 
 import numpy as np
 
-from smallwav import AcousticModel, ModelConfig, model_size_bytes, prepack, quantize_model
+from smallwav import (
+    AcousticModel,
+    ModelConfig,
+    SynthSpec,
+    generate_dataset,
+    model_size_bytes,
+    prepack,
+    quantize_model,
+)
 from smallwav.quantize import quantize_weights, quantized_checkpoint_bytes
 
 cfg = ModelConfig(
@@ -49,23 +60,31 @@ drift = max(
 print(f"max |float logits - int8 logits| over 5 waves: {drift:.4f}")
 
 print()
-print("== prepacking the kernel operands ==")
-waves = [rng.standard_normal(40) for _ in range(60)]
+print("== speed: float, int8, prepacked int8 ==")
+# The default model on the lab's utterances (23-93 frames), every model
+# on the same waves, in interleaved rounds so host speed drift hits all
+# three alike.
+lab = AcousticModel.init(ModelConfig(), seed=5)
+waves = [w_ for w_, _ in generate_dataset(SynthSpec(seed=5, n_utterances=60, noise_std=0.02))]
+fresh, packed = quantize_model(lab), prepack(quantize_model(lab))
+models = {"float": lab, "int8": fresh, "int8 prepacked": packed}
+
 
 def batch(m):
-    for w_ in waves[:3]:
-        m.infer(w_)
     t0 = time.perf_counter()
     for w_ in waves:
         m.infer(w_)
     return time.perf_counter() - t0
 
-fresh = quantize_model(model)
-t_fresh = batch(fresh)
-print(f"unpacked: {t_fresh * 1e3:7.1f} ms for {len(waves)} waves "
-      f"({fresh.unpack_count()} operand unpacks)")
-packed = prepack(quantize_model(model))
-t_packed = batch(packed)
-print(f"prepacked:{t_packed * 1e3:7.1f} ms for {len(waves)} waves "
-      f"({packed.unpack_count()} operand unpacks)")
-print(f"saved    : {100.0 * (t_fresh - t_packed) / t_fresh:+.1f}%")
+
+for m in models.values():
+    batch(m)
+times = {name: [] for name in models}
+for _ in range(5):
+    for name, m in models.items():
+        times[name].append(batch(m))
+t_float = float(np.median(times["float"]))
+for name in models:
+    t = float(np.median(times[name]))
+    print(f"{name:>15}: {t * 1e3:7.1f} ms for {len(waves)} waves, {t / t_float:.2f}x float's time")
+print(f"operand unpacks: int8 {fresh.unpack_count()}, int8 prepacked {packed.unpack_count()}")

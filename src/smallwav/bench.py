@@ -53,6 +53,9 @@ JOIN_FROM_EPOCH = 8
 # better (CHANGES.md has the table).
 CURRICULUM_MIN_UTTERANCES = 40
 
+# Fewest timed passes measure_inference takes its median over.
+MIN_REPEATS = 3
+
 
 @dataclass(frozen=True)
 class BenchReport:
@@ -108,8 +111,8 @@ def measure_inference_all(models, eval_set, repeats: int = 3) -> list:
     timing the models one after another can rank them by when they
     ran.  Interleaved rounds expose every model to the same drift.
     """
-    if repeats < 3:
-        raise ConfigError(f"measure_inference: repeats must be >= 3, got {repeats}")
+    if repeats < MIN_REPEATS:
+        raise ConfigError(f"measure_inference: repeats must be >= {MIN_REPEATS}, got {repeats}")
 
     def one_pass(model):
         for wave, _ in eval_set:

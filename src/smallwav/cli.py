@@ -33,6 +33,7 @@ from .config import (
     model_config_from,
     parse_config,
     teacher_config_from,
+    time_repeats_from,
 )
 from .data import save_dataset
 from .decode import best_path_decode, token_error_rate, wer, write_transcripts
@@ -275,17 +276,14 @@ def cmd_eval(args) -> int:
 
 def cmd_bench(args) -> int:
     cfg, seed, out = _setup(args)
+    teacher_cfg = teacher_config_from(cfg, seed)
+    student_cfg = distill_config_from(cfg, seed)
+    repeats = time_repeats_from(cfg)
     train, val, eval_set = experiment_datasets(cfg, seed)
-    teacher, _ = train_teacher(train, val, model_config_from(cfg), teacher_config_from(cfg, seed))
+    teacher, _ = train_teacher(train, val, model_config_from(cfg), teacher_cfg)
     layers = args.layers if args.layers else int(driver_value(cfg, "student_layers"))
     reports = run_compression_bench(
-        teacher,
-        distill_config_from(cfg, seed),
-        layers,
-        train,
-        val,
-        eval_set,
-        repeats=int(driver_value(cfg, "time_repeats")),
+        teacher, student_cfg, layers, train, val, eval_set, repeats=repeats
     )
     emit_report(reports, os.path.join(out, "bench.csv"))
     for r in reports:
@@ -298,6 +296,8 @@ def cmd_bench(args) -> int:
 
 def cmd_sweep_layers(args) -> int:
     cfg, seed, out = _setup(args)
+    student_cfg = distill_config_from(cfg, seed)
+    repeats = time_repeats_from(cfg)
     teacher = _load_teacher(out, args.teacher)
     depth = teacher.config.n_transformer_layers
     counts = (
@@ -307,13 +307,7 @@ def cmd_sweep_layers(args) -> int:
     )
     train, val, eval_set = experiment_datasets(cfg, seed)
     reports = run_tradeoff_sweep(
-        teacher,
-        counts,
-        distill_config_from(cfg, seed),
-        train,
-        val,
-        eval_set,
-        repeats=int(driver_value(cfg, "time_repeats")),
+        teacher, counts, student_cfg, train, val, eval_set, repeats=repeats
     )
     emit_report(reports, os.path.join(out, "sweep.csv"))
     students = [r for r in reports if r.model != "teacher"]

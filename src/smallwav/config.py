@@ -22,6 +22,7 @@ from __future__ import annotations
 import ast
 import dataclasses
 
+from .bench import MIN_REPEATS
 from .data import SynthSpec, generate_dataset
 from .distill import DistillConfig
 from .model import ConfigError, ModelConfig
@@ -117,6 +118,19 @@ def _trained(config: DistillConfig, key: str) -> DistillConfig:
     if config.epochs < 1:
         raise ConfigError(f"{key} must be >= 1, got {config.epochs}")
     return config
+
+
+def time_repeats_from(cfg: dict) -> int:
+    """Timed passes per model for bench and sweep-layers.
+
+    Checked when the subcommand reads its config, before it trains
+    anything: bench.measure_inference_all needs at least MIN_REPEATS
+    passes for a median, and only runs after the training is done.
+    """
+    repeats = int(driver_value(cfg, "time_repeats"))
+    if repeats < MIN_REPEATS:
+        raise ConfigError(f"time_repeats must be >= {MIN_REPEATS}, got {repeats}")
+    return repeats
 
 
 def synth_spec_from(cfg: dict, seed: int, n_utterances: int | None = None) -> SynthSpec:

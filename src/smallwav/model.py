@@ -201,8 +201,8 @@ class _EncoderLayer:
             setattr(self, name, tensors[name])
 
 
-def _linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    return add(matmul(x, w), b)
+def _linear(x: Tensor, *pairs) -> list:
+    return [add(matmul(x, w), b) for w, b in pairs]
 
 
 class _Network:
@@ -246,12 +246,14 @@ class _Network:
         return out
 
     def _forward(self, waveform, linear) -> tuple:
-        """Run one utterance, with linear(x, w, b) as every linear layer.
+        """Run one utterance, with linear(x, *pairs) as every linear layer.
 
         Args:
             waveform: 1-D array or Tensor of samples.
-            linear: kernel taking the (N, d_in) input Tensor and one
-                layer's weight and bias slots, returning (N, d_out).
+            linear: kernel taking the (N, d_in) input Tensor and one or
+                more (weight, bias) slot pairs, returning one (N, d_out)
+                Tensor per pair.  Q, K and V are one call on the same
+                input, so the int8 kernel quantizes that input once.
 
         Returns:
             (logits, conv_out): per-frame token logits of shape (N, M) and
@@ -273,15 +275,14 @@ class _Network:
         conv_out = transpose(x)
         h = add(conv_out, self.pos[:n])
         for layer in self.layers:
-            q = linear(h, layer.wq, layer.bq)
-            k = linear(h, layer.wk, layer.bk)
-            v = linear(h, layer.wv, layer.bv)
+            q, k, v = linear(h, (layer.wq, layer.bq), (layer.wk, layer.bk), (layer.wv, layer.bv))
             core = attention_core(q, k, v, self.config.n_heads)
-            o = linear(core, layer.wo, layer.bo)
+            (o,) = linear(core, (layer.wo, layer.bo))
             h = layer_norm(add(h, o), layer.ln1_g, layer.ln1_b)
-            ff = linear(gelu(linear(h, layer.wf1, layer.bf1)), layer.wf2, layer.bf2)
+            (f1,) = linear(h, (layer.wf1, layer.bf1))
+            (ff,) = linear(gelu(f1), (layer.wf2, layer.bf2))
             h = layer_norm(add(h, ff), layer.ln2_g, layer.ln2_b)
-        logits = linear(h, self.head_w, self.head_b)
+        (logits,) = linear(h, (self.head_w, self.head_b))
         return logits, conv_out
 
 

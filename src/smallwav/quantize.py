@@ -3,16 +3,24 @@
 Weight matrices of the transformer blocks (Q/K/V/O, both FFN linears)
 and the token head are stored as int8 with one symmetric scale per
 tensor.  Activations are quantized on the fly each forward pass with an
-asymmetric scale and zero point.  The matmul runs in the integer domain
-with 32-bit accumulation, then the result is rescaled to float, so
-everything downstream (gelu, layer norm, the attention score path) sees
-ordinary float32.  The conv frontend, positional table, layer norms and
-all biases stay float.  The quantized model runs the float model's
-forward pass with only the linear kernel swapped.
+asymmetric scale and zero point, once per input: Q, K and V share one
+quantization.  The matmul runs on exact integers, bit-identical to
+32-bit integer accumulation, carried in float32 while the inner
+dimension K satisfies K * 255 * 127 < 2**24 (K <= 518) and in float64
+beyond; then the result is rescaled to float, so everything downstream
+(gelu, layer norm, the attention score path) sees ordinary float32.
+The conv frontend, positional table, layer norms and all biases stay
+float.  The quantized model runs the float model's forward pass with
+only the linear kernel swapped.
 
 Prepacking caches each layer's unpacked kernel operand once so
 per-utterance inference skips the int8 conversion; outputs are
 bit-identical either way, only the per-call unpack work disappears.
+
+numpy has no int8 GEMM, so the int8 model runs float BLAS on integer
+codes plus the quantization passes, and it shares the float model's
+gelu, layer norm, attention and conv work.  It is smaller than the float
+model, not faster.
 
 Quantized checkpoints use the "SWQ8" container documented in
 docs/formats.md.
@@ -47,6 +55,11 @@ QFORMAT_VERSION = 1
 #: serialized bytes per QuantParams record: float32 scale + int32 zero point
 QUANT_PARAMS_BYTES = 8
 
+#: Widest inner dimension whose integer product float32 carries exactly:
+#: activation codes minus their zero point reach +-255 and weight codes
+#: +-127, so every partial sum of K products stays below 2**24.
+FLOAT32_CARRY_MAX_K = (2**24 - 1) // (255 * 127)
+
 
 @dataclass(frozen=True)
 class QuantParams:
@@ -73,11 +86,6 @@ class QuantParams:
         return (np.asarray(q, dtype=np.float64) - self.zero_point) * self.scale
 
 
-def _require_finite(x: np.ndarray, who: str) -> None:
-    if not np.all(np.isfinite(x)):
-        raise NumericError(f"{who}: input contains nan or inf")
-
-
 def quantize_weights(w) -> tuple:
     """Symmetric per-tensor int8 weights.
 
@@ -89,7 +97,8 @@ def quantize_weights(w) -> tuple:
         (int8 array of w's shape, QuantParams with zero_point 0)
     """
     w = np.asarray(w, dtype=np.float64)
-    _require_finite(w, "quantize_weights")
+    if not np.all(np.isfinite(w)):
+        raise NumericError("quantize_weights: input contains nan or inf")
     amax = float(np.max(np.abs(w))) if w.size else 0.0
     scale = float(np.float32(amax / 127.0))
     if scale == 0.0:
@@ -109,20 +118,31 @@ def dynamic_activation_params(x) -> QuantParams:
     this model quantizes dynamically, the clamp never engages and the
     whole observed range is representable.  Recomputed on every call;
     nothing here is cached between forward passes.
+
+    A nan anywhere makes min and max nan, and an infinity becomes one of
+    them, so checking those two values covers the whole input.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x)
     if x.size == 0:
         raise ShapeError("dynamic_activation_params: empty input")
-    _require_finite(x, "dynamic_activation_params")
     mn = float(x.min())
     mx = float(x.max())
+    if not (math.isfinite(mn) and math.isfinite(mx)):
+        raise NumericError("dynamic_activation_params: input contains nan or inf")
     # Unlike weight scales these are never serialized, so no float32
     # snapping: full precision keeps the clip error inside scale / 2.
     scale = (mx - mn) / 255.0
     if scale == 0.0:
         scale = 1.0
-    zp = int(np.clip(-128 - np.rint(mn / scale), -128, 127))
+    # round() on a float rounds half to even, as np.rint does.
+    zp = min(max(-128 - round(mn / scale), -128), 127)
     return QuantParams(scale=scale, zero_point=zp)
+
+
+def carry_dtype(k: int) -> type:
+    """Float type that carries a K-deep integer product of codes exactly:
+    float32 (sgemm) up to FLOAT32_CARRY_MAX_K, float64 beyond."""
+    return np.float32 if k <= FLOAT32_CARRY_MAX_K else np.float64
 
 
 class QuantizedLinear:
@@ -160,30 +180,36 @@ class QuantizedLinear:
     def prepack(self) -> None:
         """Cache the kernel operand; forward output bits do not change.
 
-        Trades memory (a float64 copy of the int8 codes) for dropping the
-        per-call unpack, the same bargain the runtime this mirrors makes.
+        Trades memory (the int8 codes as floats of carry_dtype(K): four
+        bytes each up to K = 518, eight beyond) for dropping the per-call
+        unpack, the same bargain the runtime this mirrors makes.
         """
-        self._w_op = self.w_q.astype(np.float64)
+        self._w_op = self._unpack()
+
+    def _unpack(self) -> np.ndarray:
+        return self.w_q.astype(carry_dtype(self.w_q.shape[0]))
 
     def _kernel_weights(self) -> np.ndarray:
         if self._w_op is not None:
             return self._w_op
         self.unpack_count += 1
-        return self.w_q.astype(np.float64)
+        return self._unpack()
 
 
-def qlinear_forward(x, layer: QuantizedLinear) -> np.ndarray:
-    """Dynamically quantized x @ w + bias, returned as float32.
+def qlinear_forward(x, *layers: QuantizedLinear) -> list:
+    """Dynamically quantized x @ w + bias for each layer, as float32 arrays.
 
-    x is quantized per call from its own range, the codes go through an
-    integer-domain matmul, and one combined scale brings the result back
-    to float.  The accumulation runs on exact integers carried in
-    float64: with both zero points in [-128, 127] every product is below
-    2^15, so for inner dimensions up to 2^15 all partial sums stay far
-    inside the 2^53 exact-integer window and the result is bit-identical
-    to a 32-bit integer accumulator (which the same cap keeps from
-    overflowing).  Carrying the integers in float64 lets the matmul use
-    the BLAS path instead of numpy's slow integer loops.
+    x is quantized once, from its own range, and every layer reads those
+    codes, so Q, K and V cost one quantization; each layer gets its own
+    matmul and contiguous output.  The codes minus the zero point,
+    clip(rint(x / scale), -128 - zp, 127 - zp), lie in [-255, 255] and
+    weight codes in [-127, 127], so the matmul runs on exact integers
+    carried in carry_dtype(K): float32 up to K = 518, where every partial
+    sum stays below 2^24, and float64 beyond, exact up to K = 2^15.  The
+    result is bit-identical to a 32-bit integer accumulator in any
+    summation order, and runs on BLAS instead of numpy's integer loops.
+    One combined scale per layer brings it back to float, in float64,
+    before the bias is added.
 
     Against the exact float product the per-element error is at most
     0.75 * (scale_w * ||x||_1 + scale_x * ||w||_1) with full-tensor
@@ -193,21 +219,32 @@ def qlinear_forward(x, layer: QuantizedLinear) -> np.ndarray:
     x = np.asarray(x)
     if x.ndim != 2:
         raise ShapeError(f"qlinear_forward: expected (N, d) input, got {x.shape}")
-    if x.shape[1] != layer.w_q.shape[0]:
-        raise ShapeError(
-            f"qlinear_forward: input width {x.shape[1]} does not match "
-            f"weight shape {layer.w_q.shape}"
-        )
+    for layer in layers:
+        if x.shape[1] != layer.w_q.shape[0]:
+            raise ShapeError(
+                f"qlinear_forward: input width {x.shape[1]} does not match "
+                f"weight shape {layer.w_q.shape}"
+            )
     aparams = dynamic_activation_params(x)
-    x_q = aparams.quantize(x).astype(np.float64)
-    acc = (x_q - aparams.zero_point) @ layer._kernel_weights()
-    combined = aparams.scale * layer.w_params.scale
-    return (acc * combined + layer.bias.astype(np.float64)).astype(np.float32)
+    zp = aparams.zero_point
+    codes = x.astype(np.float64)
+    codes /= aparams.scale
+    np.rint(codes, out=codes)
+    np.clip(codes, -128 - zp, 127 - zp, out=codes)
+    codes = codes.astype(carry_dtype(x.shape[1]), copy=False)
+    out = []
+    for layer in layers:
+        y = (codes @ layer._kernel_weights()).astype(np.float64, copy=False)
+        y *= aparams.scale * layer.w_params.scale
+        y += layer.bias
+        out.append(y.astype(np.float32))
+    return out
 
 
-def _qlinear(x: Tensor, w: QuantizedLinear, b: None) -> Tensor:
-    """The int8 model's linear kernel; w carries the bias, b is None."""
-    return Tensor(qlinear_forward(x.data, w))
+def _qlinear(x: Tensor, *pairs) -> list:
+    """The int8 model's linear kernel: pairs are (QuantizedLinear, None),
+    since a QuantizedLinear carries its own bias."""
+    return [Tensor(y) for y in qlinear_forward(x.data, *(w for w, _ in pairs))]
 
 
 class QuantizedModel(_Network):

@@ -341,7 +341,7 @@ def test_criterion_08_quantization_fidelity(trained):
         layer = QuantizedLinear.from_float(w, np.zeros(n_out, dtype=np.float32))
         x = rng.standard_normal((int(rng.integers(1, 5)), n_in)).astype(np.float32)
         x -= x.mean()
-        got = qlinear_forward(x, layer)
+        (got,) = qlinear_forward(x, layer)
         oracle = x.astype(np.float64) @ w.astype(np.float64)
         s_w = layer.w_params.scale
         s_x = dynamic_activation_params(x).scale

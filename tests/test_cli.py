@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from smallwav import cli
 from smallwav.cli import main
 from smallwav.config import (
     distill_config_from,
@@ -204,6 +205,27 @@ def test_zero_epochs_is_a_config_error(tiny_cfg, tmp_path, capsys, key, command)
     save_model(teacher, out / "teacher.swav")
     assert main([command, "--config", str(path), "--out", str(out)]) == 2
     assert f"error: {key} must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["bench", "sweep-layers"])
+def test_too_few_time_repeats_fail_before_training(
+    tiny_cfg, tmp_path, capsys, monkeypatch, command
+):
+    path = tmp_path / "repeats.cfg"
+    path.write_text(open(tiny_cfg).read() + "time_repeats = 1\n")
+    out = tmp_path / "run"
+    out.mkdir()
+    teacher = AcousticModel.init(model_config_from(parse_config(path)), seed=0)
+    save_model(teacher, out / "teacher.swav")
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started before time_repeats was checked")
+
+    for name in ("train_teacher", "run_compression_bench", "run_tradeoff_sweep"):
+        monkeypatch.setattr(cli, name, no_training)
+    assert main([command, "--config", str(path), "--out", str(out)]) == 2
+    assert "error: time_repeats must be >= 3, got 1" in capsys.readouterr().err
+    assert sorted(os.listdir(out)) == ["teacher.swav"]
 
 
 def test_explicit_selection_needs_indices(tiny_cfg, tmp_path, capsys):

@@ -22,8 +22,12 @@ from smallwav.model import (
     save_model,
 )
 from smallwav.quantize import (
+    FLOAT32_CARRY_MAX_K,
     QUANT_PARAMS_BYTES,
     QuantizedLinear,
+    QuantParams,
+    _qlinear,
+    carry_dtype,
     dynamic_activation_params,
     load_quantized_model,
     model_size_bytes,
@@ -151,13 +155,13 @@ def _qlin(w, b=None):
 
 def test_zero_weight_layer_returns_bias():
     lin = _qlin(np.zeros((3, 2)), b=np.array([1.5, -2.0], dtype=np.float32))
-    out = qlinear_forward(np.array([[0.3, -4.0, 2.2]], dtype=np.float32), lin)
+    (out,) = qlinear_forward(np.array([[0.3, -4.0, 2.2]], dtype=np.float32), lin)
     assert np.array_equal(out, np.array([[1.5, -2.0]], dtype=np.float32))
 
 
 def test_one_by_one_product_lands_near_the_float_answer():
     lin = _qlin(np.array([[0.5]]))
-    out = qlinear_forward(np.array([[2.0]], dtype=np.float32), lin)
+    (out,) = qlinear_forward(np.array([[2.0]], dtype=np.float32), lin)
     s_w = lin.w_params.scale
     bound = 0.75 * (s_w * 2.0 + 1.0 * 0.5)
     assert abs(float(out[0, 0]) - 1.0) <= bound
@@ -189,13 +193,160 @@ def test_kernel_error_stays_inside_documented_bound():
             w[:] = 0.0
         b = rng.normal(size=d_out).astype(np.float32)
         lin = QuantizedLinear.from_float(w, b)
-        got = qlinear_forward(x, lin).astype(np.float64)
+        (got,) = qlinear_forward(x, lin)
+        got = got.astype(np.float64)
         oracle = x.astype(np.float64) @ w.astype(np.float64) + b.astype(np.float64)
         s_x = dynamic_activation_params(x).scale
         s_w = lin.w_params.scale
         bound = 0.75 * (s_w * np.abs(x).sum() + s_x * np.abs(w).sum())
         slack = 6e-8 * (1.0 + np.abs(oracle)) + 1e-9
         assert np.all(np.abs(got - oracle) <= bound + slack), f"trial {trial}"
+
+
+def test_one_call_serves_several_layers_and_unpacks_each_once():
+    rng = np.random.default_rng(4)
+    layers = [_qlin(rng.normal(size=(5, 3)), rng.normal(size=3)) for _ in range(3)]
+    x = rng.normal(size=(4, 5)).astype(np.float32)
+    together = qlinear_forward(x, *layers)
+    assert [lin.unpack_count for lin in layers] == [1, 1, 1]
+    for lin, y in zip(layers, together):
+        (alone,) = qlinear_forward(x, lin)
+        assert np.array_equal(y, alone)
+    assert [lin.unpack_count for lin in layers] == [2, 2, 2]
+    for lin in layers:
+        lin.prepack()
+    qlinear_forward(x, *layers)
+    assert [lin.unpack_count for lin in layers] == [2, 2, 2]
+    with pytest.raises(ShapeError):
+        qlinear_forward(x, layers[0], _qlin(np.eye(4)))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nan_and_inf_inputs_raise_numeric_error(dtype, bad):
+    x = np.zeros((3, 4), dtype=dtype)
+    x[1, 2] = bad
+    with pytest.raises(NumericError):
+        dynamic_activation_params(x)
+    with pytest.raises(NumericError):
+        qlinear_forward(x, _qlin(np.eye(4)))
+
+
+# ---------------------------------------------------------------------------
+# bit-exact against the kernel as first written
+#
+# That kernel quantized its input once per layer, went through int8 and
+# back, and carried the integer product in float64.  The kernel now
+# quantizes once per input and carries the product in float32 where
+# that is exact; neither may move a bit of any output.
+
+
+def reference_activation_params(x) -> QuantParams:
+    x = np.asarray(x, dtype=np.float64)
+    if not np.all(np.isfinite(x)):
+        raise NumericError("input contains nan or inf")
+    mn = float(x.min())
+    mx = float(x.max())
+    scale = (mx - mn) / 255.0
+    if scale == 0.0:
+        scale = 1.0
+    zp = int(np.clip(-128 - np.rint(mn / scale), -128, 127))
+    return QuantParams(scale=scale, zero_point=zp)
+
+
+def reference_qlinear(x, layer: QuantizedLinear) -> np.ndarray:
+    aparams = reference_activation_params(x)
+    x_q = aparams.quantize(x).astype(np.float64)
+    acc = (x_q - aparams.zero_point) @ layer.w_q.astype(np.float64)
+    combined = aparams.scale * layer.w_params.scale
+    return (acc * combined + layer.bias.astype(np.float64)).astype(np.float32)
+
+
+def test_int8_model_is_bit_exact_against_the_reference_kernel():
+    # The default config, over the 23-93 frame utterances of the lab's
+    # traffic: d_model 64 and ffn_dim 256 take the float32 carry.
+    cfg = ModelConfig()
+    model = AcousticModel.init(cfg, seed=0)
+    fresh, packed = quantize_model(model), prepack(quantize_model(model))
+    rng = np.random.default_rng(23)
+    qkv = []
+
+    def reference_kernel(x, *pairs):
+        return [Tensor(reference_qlinear(x.data, w)) for w, _ in pairs]
+
+    def recording_kernel(x, *pairs):
+        out = _qlinear(x, *pairs)
+        if len(pairs) == 3:
+            qkv.extend(out)
+        return out
+
+    for n in range(23, 94):
+        length = cfg.receptive_field() + cfg.total_stride() * (n - 1)
+        assert cfg.n_frames(length) == n
+        wave = rng.normal(size=length).astype(np.float32)
+        ref, _ = fresh._forward(wave, reference_kernel)
+        assert np.array_equal(fresh.infer(wave), ref.data), f"unprepacked, {n} frames"
+        assert np.array_equal(packed.infer(wave), ref.data), f"prepacked, {n} frames"
+        logits, _ = packed._forward(wave, recording_kernel)
+        assert np.array_equal(logits.data, ref.data)
+    assert len(qkv) == 3 * cfg.n_transformer_layers * 71
+    assert all(t.data.flags.c_contiguous for t in qkv)
+
+
+def _extreme_codes(k, rng):
+    """Activation codes at +-255 and weight codes at +-127, K deep.
+
+    The first row and column are all at the top code, so one output is
+    K * 255 * 127, the largest sum a K-deep product can reach.
+    """
+    x = np.vstack([np.full((1, k), 255), rng.choice([-255, 255], size=(5, k))])
+    w = np.hstack([np.full((k, 1), 127), rng.choice([-127, 127], size=(k, 4))])
+    return x, w
+
+
+def test_float32_carry_is_exact_up_to_k_518():
+    rng = np.random.default_rng(518)
+    assert FLOAT32_CARRY_MAX_K == 518
+    assert carry_dtype(518) is np.float32
+    assert carry_dtype(519) is np.float64
+    for k in (1, 64, 256, 518, 519, 1024):
+        x, w = _extreme_codes(k, rng)
+        exact = x.astype(np.int64) @ w.astype(np.int64)
+        carry = carry_dtype(k)
+        assert np.array_equal(x.astype(carry) @ w.astype(carry), exact), f"K = {k}"
+    # One step past the rule float32 is not enough: 519 * 255 * 127 is odd
+    # and above 2**24.
+    x, w = _extreme_codes(519, rng)
+    exact = x.astype(np.int64) @ w.astype(np.int64)
+    assert not np.array_equal(x.astype(np.float32) @ w.astype(np.float32), exact)
+
+
+@pytest.mark.parametrize("k", [518, 519])
+def test_kernel_matches_the_reference_at_the_carry_boundary(k):
+    rng = np.random.default_rng(k)
+    # Weights of +-1 quantize to codes +-127.  An input in {0, 1} puts its
+    # ones at code 255 above the zero point, one in {-1, 0} its minus ones
+    # at -255.
+    lin = _qlin(rng.choice([-1.0, 1.0], size=(k, 5)), rng.normal(size=5))
+    assert lin._kernel_weights().dtype == carry_dtype(k)
+    lin.prepack()
+    assert lin._w_op.dtype == carry_dtype(k)
+    assert lin._w_op.nbytes == lin.w_q.size * np.dtype(carry_dtype(k)).itemsize
+    for sign in (1.0, -1.0):
+        x = sign * (rng.random((4, k)) < 0.9).astype(np.float32)
+        (got,) = qlinear_forward(x, lin)
+        assert np.array_equal(got, reference_qlinear(x, lin))
+
+
+@pytest.mark.parametrize("offset", [10.0, -12.0])
+def test_kernel_matches_the_reference_when_the_zero_point_clamps(offset):
+    # A range that does not straddle zero clamps the zero point, and the
+    # clip pins everything past the window to the end code.
+    rng = np.random.default_rng(12)
+    lin = _qlin(rng.normal(size=(8, 3)), rng.normal(size=3))
+    x = (offset + 2.0 * rng.random((4, 8))).astype(np.float32)
+    (got,) = qlinear_forward(x, lin)
+    assert np.array_equal(got, reference_qlinear(x, lin))
 
 
 # ---------------------------------------------------------------------------
