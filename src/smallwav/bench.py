@@ -190,7 +190,8 @@ def train_teacher(
     curriculum = len(train) >= CURRICULUM_MIN_UTTERANCES
     model = AcousticModel.init(model_config, seed=cfg.seed)
     if curriculum:
-        model.pos.data[...] = sinusoidal_positions(model_config.max_frames, model_config.d_model)
+        pos = sinusoidal_positions(model_config.max_frames, model_config.d_model)
+        model.parts["pos"].data[...] = pos
 
     def steps(epoch, order):
         if curriculum and epoch < cfg.warmup_epochs:
@@ -288,15 +289,11 @@ def _report_rows(named_models, eval_set, boundary, repeats) -> list:
     seconds = measure_inference_all(models, eval_set, repeats)
     rows = []
     for (name, model), cpu_s in zip(named_models, seconds):
-        if isinstance(model, AcousticModel):
-            params = model.count_params()
-        else:
-            params = count_params(model.config)
         rows.append(
             BenchReport(
                 model=name,
                 layers=model.config.n_transformer_layers,
-                params=params,
+                params=count_params(model.config),
                 size_bytes=model_size_bytes(model),
                 cpu_s=cpu_s,
                 wer=eval_wer(model, eval_set, boundary),

@@ -5,10 +5,11 @@ each), gains learned absolute positional embeddings, passes through
 post-norm transformer encoder layers, and is projected to per-frame
 token logits for CTC-style decoding.
 
-The module also owns layer selection for student initialization and the
-"SWAV" float checkpoint format.  Parameters live in float32 and follow
-one canonical order everywhere (iteration, serialization, optimizer
-state), documented in docs/formats.md.
+The module also owns layer selection for student initialization and one
+checkpoint writer and reader, for the "SWAV" float and "SWQ8" int8
+formats.  Parameters live in float32 and follow one canonical order
+everywhere (iteration, serialization, optimizer state), documented in
+docs/formats.md.
 """
 
 from __future__ import annotations
@@ -183,67 +184,26 @@ class LayerSelection:
         raise SelectionError(f"unknown selection kind {self.kind!r}")
 
 
-class _ConvLayer:
-    def __init__(self, w: Tensor, b: Tensor, stride: int):
-        self.w = w
-        self.b = b
-        self.stride = stride
-
-
-class _EncoderLayer:
-    FIELDS = (
-        "wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo",
-        "ln1_g", "ln1_b", "wf1", "bf1", "wf2", "bf2", "ln2_g", "ln2_b",
-    )
-
-    def __init__(self, **tensors):
-        for name in self.FIELDS:
-            setattr(self, name, tensors[name])
-
-
 def _linear(x: Tensor, *pairs) -> list:
     return [add(matmul(x, w), b) for w, b in pairs]
 
 
 class _Network:
-    """The network's parts in canonical layout, and one forward pass over them.
+    """The network's parts by canonical name, and one forward pass over them.
 
-    ``params`` maps canonical names (docs/formats.md) to parts.  In a
-    float model every part is a Tensor.  The int8 model keeps Tensors
-    for the conv front end, the positional table and the layer norms,
-    and holds a QuantizedLinear in each linear's weight slot and None in
-    its bias slot, since a QuantizedLinear carries its own bias.  The two
-    differ only in the kernel that _forward applies to each linear.
+    ``parts`` maps each canonical name (docs/formats.md) to its part, in
+    the order of _param_shapes.  Every part is a Tensor, except that the
+    int8 model holds a QuantizedLinear in each linear's weight slot.  The
+    two differ only in the kernel that _forward applies to each linear.
     """
 
     def __init__(self, config: ModelConfig, params: dict):
         self.config = config
-        self.conv = []
-        for i, (_, _, stride) in enumerate(config.conv_layers):
-            self.conv.append(
-                _ConvLayer(params[f"conv{i}.w"], params[f"conv{i}.b"], stride)
-            )
-        self.pos = params["pos"]
-        self.layers = []
-        for i in range(config.n_transformer_layers):
-            fields = {f: params[f"layer{i}.{f}"] for f in _EncoderLayer.FIELDS}
-            self.layers.append(_EncoderLayer(**fields))
-        self.head_w = params["head.w"]
-        self.head_b = params["head.b"]
+        self.parts = {name: params[name] for name, _ in _param_shapes(config)}
 
     def named_params(self) -> list:
         """(name, part) pairs in the canonical serialization order."""
-        out = []
-        for i, layer in enumerate(self.conv):
-            out.append((f"conv{i}.w", layer.w))
-            out.append((f"conv{i}.b", layer.b))
-        out.append(("pos", self.pos))
-        for i, layer in enumerate(self.layers):
-            for f in _EncoderLayer.FIELDS:
-                out.append((f"layer{i}.{f}", getattr(layer, f)))
-        out.append(("head.w", self.head_w))
-        out.append(("head.b", self.head_b))
-        return out
+        return list(self.parts.items())
 
     def _forward(self, waveform, linear) -> tuple:
         """Run one utterance, with linear(x, *pairs) as every linear layer.
@@ -251,7 +211,7 @@ class _Network:
         Args:
             waveform: 1-D array or Tensor of samples.
             linear: kernel taking the (N, d_in) input Tensor and one or
-                more (weight, bias) slot pairs, returning one (N, d_out)
+                more (weight, bias) part pairs, returning one (N, d_out)
                 Tensor per pair.  Q, K and V are one call on the same
                 input, so the int8 kernel quantizes that input once.
 
@@ -269,21 +229,27 @@ class _Network:
             raise ShapeError(
                 f"utterance needs {n} frames but max_frames is {self.config.max_frames}"
             )
+        p = self.parts
         x = Tensor(np.ascontiguousarray(data[None, :], dtype=np.float32))
-        for layer in self.conv:
-            x = gelu(add(conv1d(x, layer.w, layer.stride), layer.b))
+        for i, (_, _, stride) in enumerate(self.config.conv_layers):
+            x = gelu(add(conv1d(x, p[f"conv{i}.w"], stride), p[f"conv{i}.b"]))
         conv_out = transpose(x)
-        h = add(conv_out, self.pos[:n])
-        for layer in self.layers:
-            q, k, v = linear(h, (layer.wq, layer.bq), (layer.wk, layer.bk), (layer.wv, layer.bv))
+        h = add(conv_out, p["pos"][:n])
+        for i in range(self.config.n_transformer_layers):
+            at = f"layer{i}."
+            q, k, v = linear(h, self._pair(at, "q"), self._pair(at, "k"), self._pair(at, "v"))
             core = attention_core(q, k, v, self.config.n_heads)
-            (o,) = linear(core, (layer.wo, layer.bo))
-            h = layer_norm(add(h, o), layer.ln1_g, layer.ln1_b)
-            (f1,) = linear(h, (layer.wf1, layer.bf1))
-            (ff,) = linear(gelu(f1), (layer.wf2, layer.bf2))
-            h = layer_norm(add(h, ff), layer.ln2_g, layer.ln2_b)
-        (logits,) = linear(h, (self.head_w, self.head_b))
+            (o,) = linear(core, self._pair(at, "o"))
+            h = layer_norm(add(h, o), p[at + "ln1_g"], p[at + "ln1_b"])
+            (f1,) = linear(h, self._pair(at, "f1"))
+            (ff,) = linear(gelu(f1), self._pair(at, "f2"))
+            h = layer_norm(add(h, ff), p[at + "ln2_g"], p[at + "ln2_b"])
+        (logits,) = linear(h, self._pair("head.", ""))
         return logits, conv_out
+
+    def _pair(self, prefix: str, suffix: str) -> tuple:
+        """A linear's (weight, bias) parts: ("layer0.", "q") gives layer0.wq, layer0.bq."""
+        return self.parts[f"{prefix}w{suffix}"], self.parts[f"{prefix}b{suffix}"]
 
 
 class AcousticModel(_Network):
@@ -376,19 +342,20 @@ def init_student(teacher: AcousticModel, selection: LayerSelection) -> AcousticM
     depth = teacher.config.n_transformer_layers
     picked = selection.resolve(depth)
     cfg = replace(teacher.config, n_transformer_layers=len(picked))
+    renamed = {f"layer{old}": f"layer{new}" for new, old in enumerate(picked)}
     params = {}
     for name, t in teacher.named_params():
-        if not name.startswith("layer"):
-            params[name] = Tensor(t.data.copy(), requires_grad=True)
-    for new_idx, old_idx in enumerate(picked):
-        for f in _EncoderLayer.FIELDS:
-            src = getattr(teacher.layers[old_idx], f)
-            params[f"layer{new_idx}.{f}"] = Tensor(src.data.copy(), requires_grad=True)
+        layer, dot, field = name.partition(".")
+        if layer.startswith("layer"):
+            if layer not in renamed:
+                continue
+            name = renamed[layer] + dot + field
+        params[name] = Tensor(t.data.copy(), requires_grad=True)
     return AcousticModel(cfg, params)
 
 
 # ---------------------------------------------------------------------------
-# SWAV checkpoint format (see docs/formats.md)
+# SWAV and SWQ8 checkpoints (see docs/formats.md)
 
 
 def _pack_config(config: ModelConfig) -> bytes:
@@ -420,38 +387,55 @@ def checkpoint_bytes(config: ModelConfig) -> int:
 
 
 def save_model(model: AcousticModel, path) -> None:
-    blob = [MAGIC, struct.pack("<I", FORMAT_VERSION), _pack_config(model.config)]
-    for _, t in model.named_params():
-        blob.append(np.ascontiguousarray(t.data, dtype="<f4").tobytes())
+    _write_checkpoint(path, MAGIC, model)
+
+
+def load_model(path) -> AcousticModel:
+    config, arrays, _ = _read_checkpoint(path, MAGIC, checkpoint_bytes)
+    params = {name: Tensor(a, requires_grad=True) for name, a in arrays.items()}
+    return AcousticModel(config, params)
+
+
+def _write_checkpoint(path, magic: bytes, model: _Network, records: bytes = b"") -> None:
+    """Write the header, every Tensor part as float32 in canonical order, then records.
+
+    The int8 model's linear weight matrices are not Tensors; the caller
+    serializes them into records.
+    """
+    blob = [magic, struct.pack("<I", FORMAT_VERSION), _pack_config(model.config)]
+    for _, part in model.named_params():
+        if isinstance(part, Tensor):
+            blob.append(np.ascontiguousarray(part.data, dtype="<f4").tobytes())
+    blob.append(records)
     with open(path, "wb") as fh:
         fh.write(b"".join(blob))
 
 
-def load_model(path) -> AcousticModel:
+def _read_checkpoint(path, magic: bytes, file_bytes, moved=None) -> tuple:
+    """Parse a file of _write_checkpoint's, file_bytes(config) bytes long.
+
+    moved(config), if given, names the parts stored in the records, not
+    the float section.  Returns (config, float32 arrays by name, records).
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
-    config, offset = _parse_header(raw, MAGIC)
-    expected = 4 * count_params(config)
-    payload = raw[offset:]
-    if len(payload) < expected:
-        raise TruncatedError(
-            f"payload has {len(payload)} bytes, config needs {expected}"
-        )
-    if len(payload) > expected:
-        raise TruncatedError(
-            f"{len(payload) - expected} trailing bytes after payload"
-        )
-    flat = np.frombuffer(payload, dtype="<f4")
-    params = {}
-    cursor = 0
+    config, offset = _parse_header(raw, magic)
+    expected = file_bytes(config) - offset
+    payload = len(raw) - offset
+    if payload < expected:
+        raise TruncatedError(f"payload has {payload} bytes, config needs {expected}")
+    if payload > expected:
+        raise TruncatedError(f"{payload - expected} trailing bytes after payload")
+    skip = set(moved(config)) if moved else set()
+    arrays = {}
     for name, shape in _param_shapes(config):
-        n = int(np.prod(shape))
-        params[name] = Tensor(
-            flat[cursor : cursor + n].reshape(shape).astype(np.float32, copy=True),
-            requires_grad=True,
-        )
-        cursor += n
-    return AcousticModel(config, params)
+        if name in skip:
+            continue
+        n = math.prod(shape)
+        flat = np.frombuffer(raw, dtype="<f4", count=n, offset=offset)
+        arrays[name] = flat.reshape(shape).astype(np.float32, copy=True)
+        offset += 4 * n
+    return config, arrays, raw[offset:]
 
 
 def _parse_header(raw: bytes, magic: bytes) -> tuple:

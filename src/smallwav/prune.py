@@ -147,11 +147,10 @@ def prune_model(model: AcousticModel, smap: SensitivityMap) -> tuple:
         (pruned model, PruneReport with one row per prunable tensor)
     """
     out = model.copy()
-    params = dict(out.named_params())
     rows = []
     for name in prunable_names(model.config):
         group, s = smap.resolve(name)
-        tensor = params[name]
+        tensor = out.parts[name]
         original = tensor.data
         pruned, mask = prune_layer(original, s)
         tensor.data = pruned.astype(original.dtype, copy=False)
@@ -168,17 +167,12 @@ def prune_model(model: AcousticModel, smap: SensitivityMap) -> tuple:
     return out, PruneReport(rows=tuple(rows))
 
 
-def model_param(model: AcousticModel, name: str) -> np.ndarray:
-    """The named parameter's array, by canonical name."""
-    return dict(model.named_params())[name].data
-
-
 def sparsity(model: AcousticModel) -> float:
     """Zero-valued weights over total weights, prunable layers only."""
     zeros = 0
     total = 0
     for name in prunable_names(model.config):
-        data = model_param(model, name)
+        data = model.parts[name].data
         zeros += int((data == 0).sum())
         total += data.size
     return zeros / total

@@ -37,11 +37,10 @@ import numpy as np
 from .model import (
     AcousticModel,
     ModelConfig,
-    TruncatedError,
     _Network,
-    _pack_config,
     _param_shapes,
-    _parse_header,
+    _read_checkpoint,
+    _write_checkpoint,
     count_params,
     linear_weight_names,
 )
@@ -50,7 +49,6 @@ from .model import header_bytes as _header_bytes
 from .tensor import NumericError, ShapeError, Tensor
 
 QMAGIC = b"SWQ8"
-QFORMAT_VERSION = 1
 
 #: serialized bytes per QuantParams record: float32 scale + int32 zero point
 QUANT_PARAMS_BYTES = 8
@@ -146,36 +144,28 @@ def carry_dtype(k: int) -> type:
 
 
 class QuantizedLinear:
-    """One linear layer stored as int8 weights plus a float bias.
+    """One linear layer's weight matrix stored as int8 codes.
 
-    w_q holds codes in [-127, 127] with the symmetric scale in w_params.
-    Until prepack() runs, every forward pass converts the int8 payload
-    into the kernel's operand; prepack() caches that operand once.
-    unpack_count counts the per-call conversions; after prepacking it
-    stops moving.
+    w_q holds codes in [-127, 127] with the symmetric scale in w_params;
+    the layer's bias stays a float part of its own.  Until prepack()
+    runs, every forward pass converts the int8 payload into the kernel's
+    operand; prepack() caches that operand once.  unpack_count counts
+    the per-call conversions; after prepacking it stops moving.
     """
 
-    __slots__ = ("w_q", "w_params", "bias", "unpack_count", "_w_op")
+    __slots__ = ("w_q", "w_params", "unpack_count", "_w_op")
 
-    def __init__(self, w_q: np.ndarray, w_params: QuantParams, bias: np.ndarray):
+    def __init__(self, w_q: np.ndarray, w_params: QuantParams):
         if w_q.ndim != 2:
             raise ShapeError(f"QuantizedLinear: weights must be 2-D, got {w_q.shape}")
-        if bias.shape != (w_q.shape[1],):
-            raise ShapeError(
-                f"QuantizedLinear: bias {bias.shape} does not match "
-                f"output width {w_q.shape[1]}"
-            )
         self.w_q = w_q
         self.w_params = w_params
-        self.bias = np.asarray(bias, dtype=np.float32)
         self.unpack_count = 0
         self._w_op = None
 
     @classmethod
-    def from_float(cls, w, bias) -> "QuantizedLinear":
-        q, params = quantize_weights(w)
-        # A copy, so training the float model later leaves this one alone.
-        return cls(q, params, np.array(bias, dtype=np.float32))
+    def from_float(cls, w) -> "QuantizedLinear":
+        return cls(*quantize_weights(w))
 
     def prepack(self) -> None:
         """Cache the kernel operand; forward output bits do not change.
@@ -196,10 +186,11 @@ class QuantizedLinear:
         return self._unpack()
 
 
-def qlinear_forward(x, *layers: QuantizedLinear) -> list:
-    """Dynamically quantized x @ w + bias for each layer, as float32 arrays.
+def qlinear_forward(x, *pairs) -> list:
+    """Dynamically quantized x @ w + b for each (w, b) pair, as float32 arrays.
 
-    x is quantized once, from its own range, and every layer reads those
+    Each pair is a QuantizedLinear w and its (d_out,) float bias b.  x is
+    quantized once, from its own range, and every layer reads those
     codes, so Q, K and V cost one quantization; each layer gets its own
     matmul and contiguous output.  The codes minus the zero point,
     clip(rint(x / scale), -128 - zp, 127 - zp), lie in [-255, 255] and
@@ -219,11 +210,16 @@ def qlinear_forward(x, *layers: QuantizedLinear) -> list:
     x = np.asarray(x)
     if x.ndim != 2:
         raise ShapeError(f"qlinear_forward: expected (N, d) input, got {x.shape}")
-    for layer in layers:
-        if x.shape[1] != layer.w_q.shape[0]:
+    for lin, b in pairs:
+        if x.shape[1] != lin.w_q.shape[0]:
             raise ShapeError(
                 f"qlinear_forward: input width {x.shape[1]} does not match "
-                f"weight shape {layer.w_q.shape}"
+                f"weight shape {lin.w_q.shape}"
+            )
+        if np.shape(b) != (lin.w_q.shape[1],):
+            raise ShapeError(
+                f"qlinear_forward: bias {np.shape(b)} does not match "
+                f"output width {lin.w_q.shape[1]}"
             )
     aparams = dynamic_activation_params(x)
     zp = aparams.zero_point
@@ -233,25 +229,24 @@ def qlinear_forward(x, *layers: QuantizedLinear) -> list:
     np.clip(codes, -128 - zp, 127 - zp, out=codes)
     codes = codes.astype(carry_dtype(x.shape[1]), copy=False)
     out = []
-    for layer in layers:
-        y = (codes @ layer._kernel_weights()).astype(np.float64, copy=False)
-        y *= aparams.scale * layer.w_params.scale
-        y += layer.bias
+    for lin, b in pairs:
+        y = (codes @ lin._kernel_weights()).astype(np.float64, copy=False)
+        y *= aparams.scale * lin.w_params.scale
+        y += b
         out.append(y.astype(np.float32))
     return out
 
 
 def _qlinear(x: Tensor, *pairs) -> list:
-    """The int8 model's linear kernel: pairs are (QuantizedLinear, None),
-    since a QuantizedLinear carries its own bias."""
-    return [Tensor(y) for y in qlinear_forward(x.data, *(w for w, _ in pairs))]
+    """The int8 model's linear kernel over (QuantizedLinear, bias Tensor) pairs."""
+    return [Tensor(y) for y in qlinear_forward(x.data, *((w, b.data) for w, b in pairs))]
 
 
 class QuantizedModel(_Network):
     """Inference-only model with int8 linear layers.
 
-    The conv frontend, positional table and layer norms keep their
-    float32 values as constant Tensors; attention scores and softmax
+    The conv frontend, positional table, layer norms and biases keep
+    their float32 values as constant Tensors; attention scores and softmax
     always run on float tensors (attention_core refuses anything else).
     After prepack() the model is read-only and safe to share across
     threads.
@@ -274,12 +269,6 @@ class QuantizedModel(_Network):
         return logits.data
 
 
-def _bias_name(weight_name: str) -> str:
-    """Canonical name of a linear's bias: layer0.wf1 -> layer0.bf1, head.w -> head.b."""
-    prefix, _, field = weight_name.rpartition(".")
-    return f"{prefix}.b{field[1:]}"
-
-
 def quantize_model(model: AcousticModel) -> QuantizedModel:
     """Quantize every transformer linear and the head; leave the rest float.
 
@@ -290,15 +279,15 @@ def quantize_model(model: AcousticModel) -> QuantizedModel:
         raise TypeError("quantize_model: model is already quantized")
     if not isinstance(model, AcousticModel):
         raise TypeError(f"quantize_model: expected an AcousticModel, got {type(model)!r}")
-    source = dict(model.named_params())
-    params = {}
-    for name in linear_weight_names(model.config):
-        bias = _bias_name(name)
-        params[name] = QuantizedLinear.from_float(source[name].data, source[bias].data)
-        params[bias] = None
-    for name, t in source.items():
-        if name not in params:
-            params[name] = Tensor(t.data.astype(np.float32, copy=True))
+    linears = set(linear_weight_names(model.config))
+    # Every float part is copied, so training the float model later
+    # leaves this one alone.
+    params = {
+        name: QuantizedLinear.from_float(t.data)
+        if name in linears
+        else Tensor(t.data.astype(np.float32, copy=True))
+        for name, t in model.named_params()
+    }
     return QuantizedModel(model.config, params)
 
 
@@ -337,61 +326,26 @@ def model_size_bytes(model) -> int:
 
 
 def save_quantized_model(qmodel: QuantizedModel, path) -> None:
-    blob = [QMAGIC, struct.pack("<I", QFORMAT_VERSION), _pack_config(qmodel.config)]
-    linears = qmodel.named_linears()
-    biases = {_bias_name(name): lin.bias for name, lin in linears}
-    for name, part in qmodel.named_params():
-        if isinstance(part, Tensor):
-            blob.append(np.ascontiguousarray(part.data, dtype="<f4").tobytes())
-        elif part is None:
-            blob.append(np.ascontiguousarray(biases[name], dtype="<f4").tobytes())
-    for _, lin in linears:
-        blob.append(struct.pack("<f", lin.w_params.scale))
-        blob.append(struct.pack("<i", lin.w_params.zero_point))
-        blob.append(np.ascontiguousarray(lin.w_q, dtype=np.int8).tobytes())
-    with open(path, "wb") as fh:
-        fh.write(b"".join(blob))
+    records = []
+    for _, lin in qmodel.named_linears():
+        records.append(struct.pack("<fi", lin.w_params.scale, lin.w_params.zero_point))
+        records.append(np.ascontiguousarray(lin.w_q, dtype=np.int8).tobytes())
+    _write_checkpoint(path, QMAGIC, qmodel, b"".join(records))
 
 
 def load_quantized_model(path) -> QuantizedModel:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    config, offset = _parse_header(raw, QMAGIC)
-    expected = quantized_checkpoint_bytes(config) - _header_bytes(config)
-    payload = raw[offset:]
-    if len(payload) < expected:
-        raise TruncatedError(f"payload has {len(payload)} bytes, config needs {expected}")
-    if len(payload) > expected:
-        raise TruncatedError(f"{len(payload) - expected} trailing bytes after payload")
-
-    linear_names = linear_weight_names(config)
+    config, arrays, records = _read_checkpoint(
+        path, QMAGIC, quantized_checkpoint_bytes, linear_weight_names
+    )
+    params = {name: Tensor(a) for name, a in arrays.items()}
     shapes = dict(_param_shapes(config))
-    params = {}
-    cursor = offset
-    for name, shape in _param_shapes(config):
-        if name in linear_names:
-            continue
-        n = int(np.prod(shape))
-        params[name] = Tensor(
-            np.frombuffer(raw, dtype="<f4", count=n, offset=cursor)
-            .reshape(shape)
-            .astype(np.float32, copy=True)
-        )
-        cursor += 4 * n
-    for name in linear_names:
-        (scale,) = struct.unpack_from("<f", raw, cursor)
-        (zp,) = struct.unpack_from("<i", raw, cursor + 4)
+    cursor = 0
+    for name in linear_weight_names(config):
+        scale, zp = struct.unpack_from("<fi", records, cursor)
         cursor += QUANT_PARAMS_BYTES
         shape = shapes[name]
-        n = int(np.prod(shape))
-        w_q = (
-            np.frombuffer(raw, dtype=np.int8, count=n, offset=cursor)
-            .reshape(shape)
-            .copy()
-        )
+        n = math.prod(shape)
+        w_q = np.frombuffer(records, dtype=np.int8, count=n, offset=cursor).reshape(shape).copy()
         cursor += n
-        bias = _bias_name(name)
-        w_params = QuantParams(scale=float(scale), zero_point=int(zp))
-        params[name] = QuantizedLinear(w_q, w_params, params[bias].data)
-        params[bias] = None
+        params[name] = QuantizedLinear(w_q, QuantParams(scale=float(scale), zero_point=int(zp)))
     return QuantizedModel(config, params)

@@ -338,10 +338,10 @@ def test_criterion_08_quantization_fidelity(trained):
         w = (rng.standard_normal((n_in, n_out)) * scale).astype(np.float32)
         if trial % 50 == 0:
             w.fill(0.0)
-        layer = QuantizedLinear.from_float(w, np.zeros(n_out, dtype=np.float32))
+        layer = QuantizedLinear.from_float(w)
         x = rng.standard_normal((int(rng.integers(1, 5)), n_in)).astype(np.float32)
         x -= x.mean()
-        (got,) = qlinear_forward(x, layer)
+        (got,) = qlinear_forward(x, (layer, np.zeros(n_out, dtype=np.float32)))
         oracle = x.astype(np.float64) @ w.astype(np.float64)
         s_w = layer.w_params.scale
         s_x = dynamic_activation_params(x).scale

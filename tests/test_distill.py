@@ -340,7 +340,7 @@ def test_fit_validates_every_epoch_averages_per_item_and_keeps_the_best_snapshot
     seen, firsts = [], []
 
     def validate(m):
-        seen.append(m.head_w.data.copy())
+        seen.append(m.parts["head.w"].data.copy())
         return next(scripted), 10.0 * len(seen)
 
     def loss(m, items):
@@ -361,8 +361,8 @@ def test_fit_validates_every_epoch_averages_per_item_and_keeps_the_best_snapshot
         assert close(row[2], (firsts[2 * e] + firsts[2 * e + 1]) / 3, rtol=1e-12)
         assert row[3] == 1.0  # (2 + 1) items over 3
         assert row[4:] == ([3.0, 1.0, 2.0, 4.0][e], 10.0 * (e + 2))
-    assert np.array_equal(best.head_w.data, seen[2])
-    assert not np.array_equal(best.head_w.data, model.head_w.data)
+    assert np.array_equal(best.parts["head.w"].data, seen[2])
+    assert not np.array_equal(best.parts["head.w"].data, model.parts["head.w"].data)
 
 
 def test_distill_zero_epochs_is_identity():

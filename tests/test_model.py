@@ -176,11 +176,11 @@ def test_student_layers_match_selected_teacher_layers():
     teacher = AcousticModel.init(TINY, seed=5)
     student = init_student(teacher, LayerSelection.explicit([0, 2]))
     assert student.config.n_transformer_layers == 2
-    assert np.array_equal(student.layers[0].wq.data, teacher.layers[0].wq.data)
-    assert np.array_equal(student.layers[1].wq.data, teacher.layers[2].wq.data)
+    assert np.array_equal(student.parts["layer0.wq"].data, teacher.parts["layer0.wq"].data)
+    assert np.array_equal(student.parts["layer1.wq"].data, teacher.parts["layer2.wq"].data)
     # Copies, not views: mutating the student leaves the teacher alone.
-    student.layers[0].wq.data[0, 0] += 1.0
-    assert not np.array_equal(student.layers[0].wq.data, teacher.layers[0].wq.data)
+    student.parts["layer0.wq"].data[0, 0] += 1.0
+    assert not np.array_equal(student.parts["layer0.wq"].data, teacher.parts["layer0.wq"].data)
 
 
 # ---------------------------------------------------------------------------

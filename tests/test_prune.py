@@ -20,7 +20,6 @@ from smallwav.prune import (
     PruneRow,
     SensitivityMap,
     default_sensitivity_map,
-    model_param,
     prunable_names,
     prune_layer,
     prune_model,
@@ -158,7 +157,7 @@ def test_pruning_touches_only_prunable_tensors():
         if name in prunable:
             assert (t.data == 0).any(), name
         else:
-            assert np.array_equal(t.data, model_param(model, name)), name
+            assert np.array_equal(t.data, model.parts[name].data), name
 
 
 def test_report_matches_the_arrays():
@@ -166,7 +165,7 @@ def test_report_matches_the_arrays():
     pruned, report = prune_model(model, default_sensitivity_map(SMALL_CFG))
     assert [r.layer for r in report.rows] == prunable_names(SMALL_CFG)
     for row in report.rows:
-        data = model_param(pruned, row.layer)
+        data = pruned.parts[row.layer].data
         assert row.total == data.size
         assert row.pruned == int((data == 0).sum())
         assert row.sparsity == row.pruned / row.total
@@ -186,12 +185,12 @@ def test_fresh_model_sparsity_is_near_zero():
 
 def test_half_masked_layer_reports_half():
     model = AcousticModel.init(SMALL_CFG, seed=3)
-    w = model_param(model, "layer0.wq")
+    w = model.parts["layer0.wq"].data
     w.reshape(-1)[: w.size // 2] = 0.0
     _, report = prune_model(model, SensitivityMap({}, default=0.0))
     row = {r.layer: r for r in report.rows}["layer0.wq"]
     assert row.sparsity == 0.0  # nothing newly pruned
-    assert (model_param(model, "layer0.wq") == 0).mean() == 0.5
+    assert (model.parts["layer0.wq"].data == 0).mean() == 0.5
 
 
 def test_gaussian_init_matches_the_cdf_prediction():
@@ -215,8 +214,8 @@ def test_masked_zeros_survive_checkpointing(tmp_path):
     back = load_model(path)
     assert sparsity(back) == report.global_sparsity
     for name in prunable_names(SMALL_CFG):
-        a = model_param(pruned, name)
-        b = model_param(back, name)
+        a = pruned.parts[name].data
+        b = back.parts[name].data
         assert np.array_equal(a == 0, b == 0), name
         assert np.array_equal(a, b), name
 

@@ -19,6 +19,8 @@ from smallwav.model import (
     TruncatedError,
     checkpoint_bytes,
     count_params,
+    header_bytes,
+    linear_weight_names,
     save_model,
 )
 from smallwav.quantize import (
@@ -147,21 +149,22 @@ def test_activation_params_reject_inf_and_empty():
 
 
 def _qlin(w, b=None):
+    """A (QuantizedLinear, float32 bias) pair; the bias defaults to zeros."""
     w = np.asarray(w, dtype=np.float32)
     if b is None:
         b = np.zeros(w.shape[1], dtype=np.float32)
-    return QuantizedLinear.from_float(w, b)
+    return QuantizedLinear.from_float(w), np.asarray(b, dtype=np.float32)
 
 
 def test_zero_weight_layer_returns_bias():
-    lin = _qlin(np.zeros((3, 2)), b=np.array([1.5, -2.0], dtype=np.float32))
-    (out,) = qlinear_forward(np.array([[0.3, -4.0, 2.2]], dtype=np.float32), lin)
+    pair = _qlin(np.zeros((3, 2)), b=np.array([1.5, -2.0], dtype=np.float32))
+    (out,) = qlinear_forward(np.array([[0.3, -4.0, 2.2]], dtype=np.float32), pair)
     assert np.array_equal(out, np.array([[1.5, -2.0]], dtype=np.float32))
 
 
 def test_one_by_one_product_lands_near_the_float_answer():
-    lin = _qlin(np.array([[0.5]]))
-    (out,) = qlinear_forward(np.array([[2.0]], dtype=np.float32), lin)
+    lin, b = _qlin(np.array([[0.5]]))
+    (out,) = qlinear_forward(np.array([[2.0]], dtype=np.float32), (lin, b))
     s_w = lin.w_params.scale
     bound = 0.75 * (s_w * 2.0 + 1.0 * 0.5)
     assert abs(float(out[0, 0]) - 1.0) <= bound
@@ -169,11 +172,11 @@ def test_one_by_one_product_lands_near_the_float_answer():
 
 
 def test_kernel_shape_mismatch_raises():
-    lin = _qlin(np.eye(3))
+    pair = _qlin(np.eye(3))
     with pytest.raises(ShapeError):
-        qlinear_forward(np.zeros((2, 4), dtype=np.float32), lin)
+        qlinear_forward(np.zeros((2, 4), dtype=np.float32), pair)
     with pytest.raises(ShapeError):
-        qlinear_forward(np.zeros(3, dtype=np.float32), lin)
+        qlinear_forward(np.zeros(3, dtype=np.float32), pair)
 
 
 def test_kernel_error_stays_inside_documented_bound():
@@ -192,8 +195,8 @@ def test_kernel_error_stays_inside_documented_bound():
         if trial % 50 == 0:
             w[:] = 0.0
         b = rng.normal(size=d_out).astype(np.float32)
-        lin = QuantizedLinear.from_float(w, b)
-        (got,) = qlinear_forward(x, lin)
+        lin = QuantizedLinear.from_float(w)
+        (got,) = qlinear_forward(x, (lin, b))
         got = got.astype(np.float64)
         oracle = x.astype(np.float64) @ w.astype(np.float64) + b.astype(np.float64)
         s_x = dynamic_activation_params(x).scale
@@ -205,20 +208,28 @@ def test_kernel_error_stays_inside_documented_bound():
 
 def test_one_call_serves_several_layers_and_unpacks_each_once():
     rng = np.random.default_rng(4)
-    layers = [_qlin(rng.normal(size=(5, 3)), rng.normal(size=3)) for _ in range(3)]
+    pairs = [_qlin(rng.normal(size=(5, 3)), rng.normal(size=3)) for _ in range(3)]
+    layers = [lin for lin, _ in pairs]
     x = rng.normal(size=(4, 5)).astype(np.float32)
-    together = qlinear_forward(x, *layers)
+    together = qlinear_forward(x, *pairs)
     assert [lin.unpack_count for lin in layers] == [1, 1, 1]
-    for lin, y in zip(layers, together):
-        (alone,) = qlinear_forward(x, lin)
+    for pair, y in zip(pairs, together):
+        (alone,) = qlinear_forward(x, pair)
         assert np.array_equal(y, alone)
     assert [lin.unpack_count for lin in layers] == [2, 2, 2]
     for lin in layers:
         lin.prepack()
-    qlinear_forward(x, *layers)
+    qlinear_forward(x, *pairs)
     assert [lin.unpack_count for lin in layers] == [2, 2, 2]
     with pytest.raises(ShapeError):
-        qlinear_forward(x, layers[0], _qlin(np.eye(4)))
+        qlinear_forward(x, pairs[0], _qlin(np.eye(4)))
+
+
+@pytest.mark.parametrize("width", [2, 4])
+def test_kernel_rejects_a_bias_of_the_wrong_width(width):
+    lin, _ = _qlin(np.eye(3))
+    with pytest.raises(ShapeError):
+        qlinear_forward(np.zeros((2, 3), dtype=np.float32), (lin, np.zeros(width, dtype=np.float32)))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -254,12 +265,12 @@ def reference_activation_params(x) -> QuantParams:
     return QuantParams(scale=scale, zero_point=zp)
 
 
-def reference_qlinear(x, layer: QuantizedLinear) -> np.ndarray:
+def reference_qlinear(x, layer: QuantizedLinear, bias) -> np.ndarray:
     aparams = reference_activation_params(x)
     x_q = aparams.quantize(x).astype(np.float64)
     acc = (x_q - aparams.zero_point) @ layer.w_q.astype(np.float64)
     combined = aparams.scale * layer.w_params.scale
-    return (acc * combined + layer.bias.astype(np.float64)).astype(np.float32)
+    return (acc * combined + bias.astype(np.float64)).astype(np.float32)
 
 
 def test_int8_model_is_bit_exact_against_the_reference_kernel():
@@ -272,7 +283,7 @@ def test_int8_model_is_bit_exact_against_the_reference_kernel():
     qkv = []
 
     def reference_kernel(x, *pairs):
-        return [Tensor(reference_qlinear(x.data, w)) for w, _ in pairs]
+        return [Tensor(reference_qlinear(x.data, w, b.data)) for w, b in pairs]
 
     def recording_kernel(x, *pairs):
         out = _qlinear(x, *pairs)
@@ -327,15 +338,15 @@ def test_kernel_matches_the_reference_at_the_carry_boundary(k):
     # Weights of +-1 quantize to codes +-127.  An input in {0, 1} puts its
     # ones at code 255 above the zero point, one in {-1, 0} its minus ones
     # at -255.
-    lin = _qlin(rng.choice([-1.0, 1.0], size=(k, 5)), rng.normal(size=5))
+    lin, b = _qlin(rng.choice([-1.0, 1.0], size=(k, 5)), rng.normal(size=5))
     assert lin._kernel_weights().dtype == carry_dtype(k)
     lin.prepack()
     assert lin._w_op.dtype == carry_dtype(k)
     assert lin._w_op.nbytes == lin.w_q.size * np.dtype(carry_dtype(k)).itemsize
     for sign in (1.0, -1.0):
         x = sign * (rng.random((4, k)) < 0.9).astype(np.float32)
-        (got,) = qlinear_forward(x, lin)
-        assert np.array_equal(got, reference_qlinear(x, lin))
+        (got,) = qlinear_forward(x, (lin, b))
+        assert np.array_equal(got, reference_qlinear(x, lin, b))
 
 
 @pytest.mark.parametrize("offset", [10.0, -12.0])
@@ -343,10 +354,10 @@ def test_kernel_matches_the_reference_when_the_zero_point_clamps(offset):
     # A range that does not straddle zero clamps the zero point, and the
     # clip pins everything past the window to the end code.
     rng = np.random.default_rng(12)
-    lin = _qlin(rng.normal(size=(8, 3)), rng.normal(size=3))
+    lin, b = _qlin(rng.normal(size=(8, 3)), rng.normal(size=3))
     x = (offset + 2.0 * rng.random((4, 8))).astype(np.float32)
-    (got,) = qlinear_forward(x, lin)
-    assert np.array_equal(got, reference_qlinear(x, lin))
+    (got,) = qlinear_forward(x, (lin, b))
+    assert np.array_equal(got, reference_qlinear(x, lin, b))
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +367,11 @@ def test_kernel_matches_the_reference_when_the_zero_point_clamps(offset):
 def _tiny_quantized():
     model = AcousticModel.init(SMALL_CFG, seed=5)
     return model, quantize_model(model)
+
+
+def _bias_names(qm):
+    """Each linear's bias part: layer0.wq -> layer0.bq, head.w -> head.b."""
+    return [name.replace(".w", ".b", 1) for name, _ in qm.named_linears()]
 
 
 def test_quantizing_twice_is_rejected():
@@ -368,14 +384,23 @@ def test_quantizing_twice_is_rejected():
 
 def test_editing_the_float_model_leaves_the_int8_copy_alone():
     model, qm = _tiny_quantized()
-    head_bias = qm.head_w.bias.copy()
-    biases = [lin.bias.copy() for _, lin in qm.named_linears()]
-    model.head_b.data += 1
-    assert np.array_equal(qm.head_w.bias, head_bias)
+    head_bias = qm.parts["head.b"].data.copy()
+    biases = [qm.parts[name].data.copy() for name in _bias_names(qm)]
+    model.parts["head.b"].data += 1
+    assert np.array_equal(qm.parts["head.b"].data, head_bias)
     for p in model.params():
         p.data += 1
-    for (name, lin), before in zip(qm.named_linears(), biases):
-        assert np.array_equal(lin.bias, before), name
+    for name, before in zip(_bias_names(qm), biases):
+        assert np.array_equal(qm.parts[name].data, before), name
+
+
+def test_every_part_of_a_quantized_model_is_a_weight_or_a_tensor(tmp_path):
+    _, qm = _tiny_quantized()
+    save_quantized_model(qm, tmp_path / "m.swq8")
+    linears = set(linear_weight_names(SMALL_CFG))
+    for m in (qm, load_quantized_model(tmp_path / "m.swq8")):
+        for name, part in m.named_params():
+            assert isinstance(part, QuantizedLinear if name in linears else Tensor), name
 
 
 def test_all_zero_model_stays_zero_through_both_paths():
@@ -461,9 +486,30 @@ def test_swq8_round_trip_is_bit_exact(tmp_path):
     for (name, a), (_, b) in zip(qm.named_linears(), back.named_linears()):
         assert np.array_equal(a.w_q, b.w_q), name
         assert a.w_params == b.w_params, name
-        assert np.array_equal(a.bias, b.bias), name
+    for name in _bias_names(qm):
+        assert np.array_equal(qm.parts[name].data, back.parts[name].data), name
     wave = np.random.default_rng(3).normal(size=150).astype(np.float32)
     assert np.array_equal(qm.infer(wave), back.infer(wave))
+
+
+def test_swq8_float_section_is_the_swav_payload_without_linear_matrices(tmp_path):
+    model, qm = _tiny_quantized()
+    save_model(model, tmp_path / "m.swav")
+    save_quantized_model(qm, tmp_path / "m.swq8")
+    swav = (tmp_path / "m.swav").read_bytes()
+    swq8 = (tmp_path / "m.swq8").read_bytes()
+    header = header_bytes(SMALL_CFG)
+    assert swq8[4:header] == swav[4:header]
+    linears = set(linear_weight_names(SMALL_CFG))
+    kept, offset = [], header
+    for name, t in model.named_params():
+        end = offset + 4 * t.data.size
+        if name not in linears:
+            kept.append(swav[offset:end])
+        offset = end
+    assert offset == len(swav)
+    float_section = b"".join(kept)
+    assert swq8[header : header + len(float_section)] == float_section
 
 
 def test_swq8_rejects_foreign_and_damaged_files(tmp_path):
