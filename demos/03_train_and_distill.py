@@ -34,7 +34,7 @@ teacher, history = train_teacher(train, val, cfg, teacher_cfg)
 for row in history[::3]:
     print(f"epoch {row.epoch:2d}  lr {row.lr:.2e}  "
           f"train {row.train_loss:7.3f}  val {row.val_loss:7.3f}  WER {row.val_wer:6.1f}%")
-teacher_wer = eval_wer(teacher, eval_set, boundary=11)
+teacher_wer = eval_wer(teacher, eval_set)
 print(f"teacher eval WER: {teacher_wer:.2f}%")
 
 print()
@@ -42,7 +42,7 @@ print("== student: distill into 1 transformer layer ==")
 student = init_student(teacher, LayerSelection.alternating(1))
 best, dh = distill(teacher, student, train, val, DistillConfig(epochs=6, seed=1))
 print(f"val objective {dh.initial_val_total:.3f} -> {dh.final().val_total:.3f}")
-student_wer = eval_wer(best, eval_set, boundary=11)
+student_wer = eval_wer(best, eval_set)
 print(f"student eval WER: {student_wer:.2f}%  "
       f"({best.count_params()} params vs teacher {teacher.count_params()})")
 

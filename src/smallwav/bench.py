@@ -14,7 +14,7 @@ table are timed in interleaved rounds (measure_inference_all).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,16 +79,17 @@ class BenchReport:
                 raise ConfigError(f"BenchReport.{field} must be nonnegative")
 
 
-def eval_wer(model, eval_set, boundary: int) -> float:
+def eval_wer(model, eval_set) -> float:
     """Corpus WER of a model over a dataset, in percent.
 
     Works on float and quantized models alike; both expose infer().
+    Words split at the model's own boundary token, model.config.boundary.
     """
     refs, hyps = [], []
     for wave, transcript in eval_set:
         refs.append(list(transcript))
         hyps.append(best_path_decode(model.infer(wave)))
-    return 100.0 * wer(refs, hyps, boundary=boundary).wer
+    return 100.0 * wer(refs, hyps, boundary=model.config.boundary).wer
 
 
 def measure_inference(model, eval_set, repeats: int = 3) -> float:
@@ -142,16 +143,14 @@ class TeacherEpoch:
     val_wer: float
 
 
-def train_teacher(
-    train, val, model_config: ModelConfig, cfg: DistillConfig, boundary: int | None = None
-) -> tuple:
+def train_teacher(train, val, model_config: ModelConfig, cfg: DistillConfig) -> tuple:
     """Train a fresh model with CTC loss on the synthetic task.
 
     Runs distill.fit, the loop distillation runs too (cfg's epochs,
     learning rates, decay and shuffling seed), with the CTC loss and
     this function's step plan.  Returns the snapshot with the lowest
     validation loss and the per-epoch history; train_loss is per
-    utterance.
+    utterance, and val_wer splits words at model_config.boundary.
 
     On a training set of CURRICULUM_MIN_UTTERANCES or more, the run
     follows a length curriculum.  On the lab's 160-utterance set it
@@ -183,8 +182,6 @@ def train_teacher(
     Returns:
         (AcousticModel, list of TeacherEpoch)
     """
-    if boundary is None:
-        boundary = model_config.n_tokens - 1
     if not train or not val:
         raise ConfigError("train_teacher: train and validation sets must be nonempty")
     curriculum = len(train) >= CURRICULUM_MIN_UTTERANCES
@@ -202,9 +199,7 @@ def train_teacher(
         wave, transcript = step
         return (ctc_loss(m.forward(wave)[0], transcript),)
 
-    best, _, rows = fit(
-        model, len(train), cfg, steps, terms, lambda m: _teacher_val(m, val, boundary)
-    )
+    best, _, rows = fit(model, len(train), cfg, steps, terms, lambda m: _teacher_val(m, val))
     return best, [TeacherEpoch(*row) for row in rows]
 
 
@@ -228,7 +223,7 @@ def _teacher_steps(train, order, config: ModelConfig, join: bool):
         yield wave, transcript
 
 
-def _teacher_val(model: AcousticModel, val, boundary: int) -> tuple:
+def _teacher_val(model: AcousticModel, val) -> tuple:
     """Mean CTC loss and WER (percent) over val, one forward per utterance."""
     total = 0.0
     refs, hyps = [], []
@@ -238,7 +233,7 @@ def _teacher_val(model: AcousticModel, val, boundary: int) -> tuple:
             total += ctc_loss(logits, transcript).item()
             refs.append(list(transcript))
             hyps.append(best_path_decode(logits.data))
-    return total / len(val), 100.0 * wer(refs, hyps, boundary=boundary).wer
+    return total / len(val), 100.0 * wer(refs, hyps, boundary=model.config.boundary).wer
 
 
 def write_teacher_history_csv(history, path) -> None:
@@ -272,7 +267,6 @@ def run_tradeoff_sweep(
     for k in counts:
         if not 1 <= k <= depth:
             raise ConfigError(f"sweep: layer count {k} outside [1, {depth}]")
-    boundary = teacher.config.n_tokens - 1
 
     students = []
     for k in counts:
@@ -280,10 +274,10 @@ def run_tradeoff_sweep(
         best, _ = distill(teacher, student, train, val, cfg)
         students.append(best)
     named = [("teacher", teacher)] + [(f"student-{k}", s) for k, s in zip(counts, students)]
-    return _report_rows(named, eval_set, boundary, repeats)
+    return _report_rows(named, eval_set, repeats)
 
 
-def _report_rows(named_models, eval_set, boundary, repeats) -> list:
+def _report_rows(named_models, eval_set, repeats) -> list:
     """One BenchReport per (name, model), timed together."""
     models = [model for _, model in named_models]
     seconds = measure_inference_all(models, eval_set, repeats)
@@ -296,7 +290,7 @@ def _report_rows(named_models, eval_set, boundary, repeats) -> list:
                 params=count_params(model.config),
                 size_bytes=model_size_bytes(model),
                 cpu_s=cpu_s,
-                wer=eval_wer(model, eval_set, boundary),
+                wer=eval_wer(model, eval_set),
             )
         )
     return rows
@@ -401,9 +395,8 @@ def run_compression_bench(
     repeats: int = 3,
 ) -> list:
     """Original vs distilled vs distilled+quantized, one row each."""
-    boundary = teacher.config.n_tokens - 1
     student = init_student(teacher, LayerSelection.alternating(student_layers))
     best, _ = distill(teacher, student, train, val, cfg)
     quantized = prepack(quantize_model(best))
     named = [("original", teacher), ("distilled", best), ("quantized", quantized)]
-    return _report_rows(named, eval_set, boundary, repeats)
+    return _report_rows(named, eval_set, repeats)

@@ -149,14 +149,10 @@ def _load_teacher(out, override):
     return load_model(path)
 
 
-def _boundary(cfg: dict) -> int:
-    return int(cfg.get("boundary", 11))
-
-
 def cmd_gen_data(args) -> int:
     cfg, seed, out = _setup(args)
     train, val, eval_set = experiment_datasets(cfg, seed)
-    boundary = _boundary(cfg)
+    boundary = model_config_from(cfg).boundary
     for name, ds in (("train", train), ("val", val), ("eval", eval_set)):
         save_dataset(os.path.join(out, f"{name}.npz"), ds)
         write_transcripts(
@@ -181,7 +177,7 @@ def cmd_train_teacher(args) -> int:
         f"teacher: {model.count_params()} params, "
         f"val loss {final.val_loss:.4f}, val WER {final.val_wer:.2f}%"
     )
-    print(f"eval WER {eval_wer(model, eval_set, _boundary(cfg)):.2f}%")
+    print(f"eval WER {eval_wer(model, eval_set):.2f}%")
     return 0
 
 
@@ -212,7 +208,7 @@ def cmd_distill(args) -> int:
         f"student: {best.config.n_transformer_layers} layers, "
         f"val loss {final.val_total:.4f}, val WER {final.val_wer:.2f}%"
     )
-    print(f"eval WER {eval_wer(best, eval_set, _boundary(cfg)):.2f}%")
+    print(f"eval WER {eval_wer(best, eval_set):.2f}%")
     return 0
 
 
@@ -245,7 +241,7 @@ def cmd_prune(args) -> int:
     write_report_csv(report, os.path.join(out, "sparsity.csv"))
     print(f"global sparsity {100.0 * report.global_sparsity:.1f}%")
     _, _, eval_set = experiment_datasets(cfg, effective_seed(cfg, args.seed))
-    print(f"eval WER {eval_wer(pruned, eval_set, _boundary(cfg)):.2f}%")
+    print(f"eval WER {eval_wer(pruned, eval_set):.2f}%")
     return 0
 
 
@@ -264,7 +260,7 @@ def cmd_eval(args) -> int:
     cfg, seed, out = _setup(args)
     model = _load_any(_path(out, "student.swav", args.model))
     _, _, eval_set = experiment_datasets(cfg, seed)
-    boundary = _boundary(cfg)
+    boundary = model.config.boundary
     refs = [list(t) for _, t in eval_set]
     hyps = [best_path_decode(model.infer(w)) for w, _ in eval_set]
     report = wer(refs, hyps, boundary=boundary)

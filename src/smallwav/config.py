@@ -23,12 +23,12 @@ import ast
 import dataclasses
 
 from .bench import MIN_REPEATS
-from .data import SynthSpec, generate_dataset
+from .data import SynthSpec, default_frequencies, generate_dataset
 from .distill import DistillConfig
 from .model import ConfigError, ModelConfig
 
 _MODEL_KEYS = frozenset(f.name for f in dataclasses.fields(ModelConfig))
-_SPEC_KEYS = frozenset(f.name for f in dataclasses.fields(SynthSpec))
+_SPEC_KEYS = frozenset(f.name for f in dataclasses.fields(SynthSpec)) - {"boundary"}
 _DISTILL_KEYS = frozenset(f.name for f in dataclasses.fields(DistillConfig))
 
 DRIVER_DEFAULTS = {
@@ -134,10 +134,16 @@ def time_repeats_from(cfg: dict) -> int:
 
 
 def synth_spec_from(cfg: dict, seed: int, n_utterances: int | None = None) -> SynthSpec:
+    """The run's data recipe, in the model's token layout (ModelConfig.boundary)."""
+    boundary = model_config_from(cfg).boundary
     kwargs = {k: cfg[k] for k in _SPEC_KEYS if k in cfg}
-    kwargs["seed"] = seed
+    kwargs.update(seed=seed, boundary=boundary)
     if n_utterances is not None:
         kwargs["n_utterances"] = n_utterances
+    tones = kwargs.get("frequencies", default_frequencies())
+    outside = sorted(t for t in tones if not 1 <= t < boundary)
+    if outside:
+        raise ConfigError(f"tone ids {outside} outside [1, n_tokens - 1 = {boundary})")
     return SynthSpec(**kwargs)
 
 

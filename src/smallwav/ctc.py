@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .decode import BLANK
 from .tensor import ShapeError, Tensor, _accumulate, _make
 
 NEG_INF = -np.inf
@@ -20,19 +21,18 @@ def _log_softmax(x: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def min_frames(targets, blank: int = 0) -> int:
+def min_frames(targets) -> int:
     """Fewest frames that can emit this target sequence."""
     repeats = sum(1 for a, b in zip(targets, targets[1:]) if a == b)
     return len(targets) + repeats
 
 
-def ctc_loss(logits, targets, blank: int = 0) -> Tensor:
+def ctc_loss(logits, targets) -> Tensor:
     """Negative log-likelihood of `targets` under all CTC alignments.
 
     Args:
         logits: Tensor of shape (N, M), pre-softmax frame scores.
-        targets: token ids, none equal to blank, all in [0, M).
-        blank: id of the CTC blank, 0 by convention.
+        targets: token ids, none equal to decode.BLANK, all in [0, M).
 
     Returns:
         A scalar Tensor on the tape of `logits`.
@@ -41,11 +41,11 @@ def ctc_loss(logits, targets, blank: int = 0) -> Tensor:
         raise ShapeError(f"ctc_loss: expected (N, M) logits, got {logits.shape}")
     n, m = logits.data.shape
     targets = [int(t) for t in targets]
-    if any(t == blank for t in targets):
+    if any(t == BLANK for t in targets):
         raise ValueError("ctc_loss: targets must not contain the blank id")
     if any(not 0 <= t < m for t in targets):
         raise ValueError(f"ctc_loss: target ids must lie in [0, {m})")
-    need = min_frames(targets, blank)
+    need = min_frames(targets)
     if n < need or n == 0:
         raise ValueError(
             f"ctc_loss: {n} frames cannot emit {len(targets)} targets "
@@ -53,7 +53,7 @@ def ctc_loss(logits, targets, blank: int = 0) -> Tensor:
         )
 
     # Blank-extended label sequence: blank, t1, blank, t2, ..., blank.
-    z = np.full(2 * len(targets) + 1, blank, dtype=np.int64)
+    z = np.full(2 * len(targets) + 1, BLANK, dtype=np.int64)
     z[1::2] = targets
     s = z.shape[0]
     logp = _log_softmax(logits.data.astype(np.float64))
@@ -63,7 +63,7 @@ def ctc_loss(logits, targets, blank: int = 0) -> Tensor:
     # needed blank: z[s] real and different from z[s-2].
     skip = np.zeros(s, dtype=bool)
     if s > 2:
-        skip[2:] = (z[2:] != blank) & (z[2:] != z[:-2])
+        skip[2:] = (z[2:] != BLANK) & (z[2:] != z[:-2])
 
     # Two leading -inf columns: stay, step and jump are slices of a row.
     padded = np.full((n, s + 2), NEG_INF)

@@ -257,17 +257,12 @@ def teacher_logits(teacher: AcousticModel, dataset) -> list:
         return [teacher.forward(wave)[0] for wave, _ in dataset]
 
 
-def evaluate(
-    targets: list,
-    student: AcousticModel,
-    val_set,
-    cfg: DistillConfig,
-    boundary: int,
-) -> tuple:
+def evaluate(targets: list, student: AcousticModel, val_set, cfg: DistillConfig) -> tuple:
     """Mean objective and WER (percent) of the student on a dataset.
 
     targets holds the teacher's logits for each utterance of val_set,
-    in order, as teacher_logits() builds them.
+    in order, as teacher_logits() builds them.  Words split at the
+    student's boundary token, student.config.boundary.
     """
     if len(targets) != len(val_set):
         raise ValueError(
@@ -283,7 +278,7 @@ def evaluate(
             totals.append(float(lb.total.data))
             refs.append(list(transcript))
             hyps.append(best_path_decode(s_logits.data))
-    report = wer(refs, hyps, boundary=boundary)
+    report = wer(refs, hyps, boundary=student.config.boundary)
     return float(np.mean(totals)), 100.0 * report.wer
 
 
@@ -333,14 +328,14 @@ def distill(
     train_set,
     val_set,
     cfg: DistillConfig,
-    boundary: int | None = None,
 ) -> tuple:
     """Distill `student` toward `teacher` on a fixed dataset.
 
     Runs fit() for cfg.epochs passes, one optimizer step per utterance,
-    on the KL-plus-feature objective.  Validation loss and WER are
-    recorded after every epoch; the returned model is the snapshot with
-    the lowest validation loss (the input model is not mutated).
+    on the KL-plus-feature objective.  Validation loss and WER, with
+    words split at student.config.boundary, are recorded after every
+    epoch; the returned model is the snapshot with the lowest
+    validation loss (the input model is not mutated).
 
     The teacher runs once per utterance per call: on val_set, and on
     train_set when there is an epoch to train.  Steps and evaluations
@@ -349,8 +344,6 @@ def distill(
     Returns:
         (best_student, DistillHistory)
     """
-    if boundary is None:
-        boundary = student.config.n_tokens - 1
     if not train_set or not val_set:
         raise ConfigError("distill: train and validation sets must be nonempty")
     val_targets = teacher_logits(teacher, val_set)
@@ -367,6 +360,6 @@ def distill(
         cfg,
         lambda epoch, order: order,
         terms,
-        lambda model: evaluate(val_targets, model, val_set, cfg, boundary),
+        lambda model: evaluate(val_targets, model, val_set, cfg),
     )
     return best, DistillHistory(*initial, [EpochStats(*row) for row in rows])

@@ -104,6 +104,11 @@ class ModelConfig:
         if self.n_tokens < 2:
             raise ConfigError("n_tokens must cover blank plus at least one symbol")
 
+    @property
+    def boundary(self) -> int:
+        """Word-boundary id, the last token: 0 is the CTC blank and tones lie between."""
+        return self.n_tokens - 1
+
     def n_frames(self, n_samples: int) -> int:
         """Closed-form conv output length for an input of n_samples."""
         length = int(n_samples)

@@ -36,6 +36,7 @@ import numpy as np
 
 from .model import (
     AcousticModel,
+    CheckpointError,
     ModelConfig,
     _Network,
     _param_shapes,
@@ -74,7 +75,6 @@ class QuantParams:
 
     scale: float
     zero_point: int
-    bits: int = 8
 
     def quantize(self, x) -> np.ndarray:
         q = np.rint(np.asarray(x, dtype=np.float64) / self.scale) + self.zero_point
@@ -343,6 +343,9 @@ def load_quantized_model(path) -> QuantizedModel:
     for name in linear_weight_names(config):
         scale, zp = struct.unpack_from("<fi", records, cursor)
         cursor += QUANT_PARAMS_BYTES
+        # The kernel reads only the scale, so weights must be symmetric.
+        if zp != 0 or not (math.isfinite(scale) and scale > 0):
+            raise CheckpointError(f"{name}: bad weight record, scale {scale}, zero point {zp}")
         shape = shapes[name]
         n = math.prod(shape)
         w_q = np.frombuffer(records, dtype=np.int8, count=n, offset=cursor).reshape(shape).copy()

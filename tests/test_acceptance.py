@@ -66,8 +66,6 @@ from smallwav.tensor import (
 
 from helpers import fd_check
 
-BOUNDARY = 11
-
 
 def verdict(num: int, label: str, passed: bool, detail: str = "") -> None:
     tag = "PASS" if passed else "FAIL"
@@ -95,7 +93,7 @@ def trained():
         "train": train,
         "val": val,
         "eval": eval_set,
-        "teacher_wer": eval_wer(teacher, eval_set, BOUNDARY),
+        "teacher_wer": eval_wer(teacher, eval_set),
         "build_seconds": time.perf_counter() - t0,
     }
 
@@ -241,7 +239,7 @@ def test_criterion_04_end_to_end_distillation(trained):
         trained["val"],
         DistillConfig(epochs=12, seed=42),
     )
-    student_wer = eval_wer(best, trained["eval"], BOUNDARY)
+    student_wer = eval_wer(best, trained["eval"])
     final_val = history.final().val_total
     runtime = trained["build_seconds"] + (time.perf_counter() - t0)
     ok = (
@@ -325,7 +323,7 @@ def test_criterion_07_quantized_size_ratio(tmp_path):
 
 def test_criterion_08_quantization_fidelity(trained):
     teacher_wer = trained["teacher_wer"]
-    q_wer = eval_wer(quantize_model(trained["teacher"]), trained["eval"], BOUNDARY)
+    q_wer = eval_wer(quantize_model(trained["teacher"]), trained["eval"])
     delta = q_wer - teacher_wer
 
     rng = np.random.default_rng(8)
@@ -473,7 +471,7 @@ def test_criterion_11_pruning_oracles(trained):
 
     teacher = trained["teacher"]
     pruned, report = prune_model(teacher, default_sensitivity_map(teacher.config))
-    delta = eval_wer(pruned, trained["eval"], BOUNDARY) - trained["teacher_wer"]
+    delta = eval_wer(pruned, trained["eval"]) - trained["teacher_wer"]
     verdict(
         11,
         "sparsity follows the Gaussian law and pruning spares accuracy",

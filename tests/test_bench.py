@@ -24,7 +24,15 @@ from smallwav.bench import (
     write_teacher_history_csv,
 )
 from smallwav.data import SynthSpec, generate_dataset
-from smallwav.distill import DistillConfig, DistillHistory, lr_at, write_history_csv
+from smallwav.decode import best_path_decode, wer
+from smallwav.distill import (
+    DistillConfig,
+    DistillHistory,
+    evaluate,
+    lr_at,
+    teacher_logits,
+    write_history_csv,
+)
 from smallwav.model import (
     AcousticModel,
     ConfigError,
@@ -205,7 +213,7 @@ def test_teacher_returns_the_best_validation_snapshot():
     val = make_set(3, seed=33)
     cfg = DistillConfig(epochs=3, base_lr=1e-4, warmup_epochs=1, seed=6)
     model, history = train_teacher(train, val, SMALL_CFG, cfg)
-    returned, _ = bench._teacher_val(model, val, SMALL_CFG.n_tokens - 1)
+    returned, _ = bench._teacher_val(model, val)
     best_seen = min(h.val_loss for h in history)
     assert returned <= best_seen + 1e-9
 
@@ -255,7 +263,7 @@ def test_length_curriculum_run_is_deterministic_and_keeps_the_contract(monkeypat
     m2, h2 = train_teacher(train, val, SMALL_CFG, cfg)
     assert h1 == h2
     assert all((a.data == b.data).all() for a, b in zip(m1.params(), m2.params()))
-    returned, _ = bench._teacher_val(m1, val, SMALL_CFG.n_tokens - 1)
+    returned, _ = bench._teacher_val(m1, val)
     assert returned <= min(h.val_loss for h in h1) + 1e-9
     _, h_short = train_teacher(train[:4], val, SMALL_CFG, cfg)
 
@@ -376,6 +384,20 @@ def test_eval_wer_handles_float_and_quantized_models(teacher, tiny_sets):
     _, _, eval_set = tiny_sets
     from smallwav.quantize import quantize_model
 
-    w_float = eval_wer(teacher, eval_set, boundary=11)
-    w_quant = eval_wer(quantize_model(teacher), eval_set, boundary=11)
+    w_float = eval_wer(teacher, eval_set)
+    w_quant = eval_wer(quantize_model(teacher), eval_set)
     assert w_float >= 0 and w_quant >= 0
+
+
+def test_every_scorer_splits_words_at_the_model_boundary():
+    model = AcousticModel.init(replace(SMALL_CFG, n_tokens=13), seed=0)
+    spec = SynthSpec(
+        seed=40, n_utterances=4, tokens_per_utterance=(2, 3), noise_std=0.02, boundary=12
+    )
+    val = generate_dataset(spec)
+    refs = [t for _, t in val]
+    hyps = [best_path_decode(model.infer(w)) for w, _ in val]
+    expected = 100.0 * wer(refs, hyps, boundary=12).wer
+    assert expected != 100.0 * wer(refs, hyps, boundary=11).wer
+    _, distill_wer = evaluate(teacher_logits(model, val), model, val, FAST_CFG)
+    assert bench._teacher_val(model, val)[1] == eval_wer(model, val) == distill_wer == expected

@@ -109,6 +109,13 @@ def test_experiment_datasets_split_seeds():
     )
 
 
+def test_experiment_datasets_split_words_at_the_last_token_of_the_model():
+    cfg = {"n_tokens": 13, "n_utterances": 8, "val_utterances": 4, "eval_utterances": 4}
+    for ds in experiment_datasets(cfg, seed=9):
+        tokens = {t for _, transcript in ds for t in transcript}
+        assert 12 in tokens and 11 not in tokens
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -226,6 +233,34 @@ def test_too_few_time_repeats_fail_before_training(
     assert main([command, "--config", str(path), "--out", str(out)]) == 2
     assert "error: time_repeats must be >= 3, got 1" in capsys.readouterr().err
     assert sorted(os.listdir(out)) == ["teacher.swav"]
+
+
+def test_a_boundary_key_fails_before_any_file_is_written(tiny_cfg, tmp_path, capsys):
+    path = tmp_path / "boundary.cfg"
+    path.write_text(open(tiny_cfg).read() + "n_tokens = 13\nboundary = 12\n")
+    out = tmp_path / "run"
+    assert main(["train-teacher", "--config", str(path), "--out", str(out)]) == 2
+    assert "unknown key 'boundary'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "extra", ["n_tokens = 8", "n_tokens = 11", "frequencies = {1: 1000.0, 12: 2000.0}"]
+)
+def test_tones_that_reach_the_boundary_fail_before_training(
+    tiny_cfg, tmp_path, capsys, monkeypatch, extra
+):
+    path = tmp_path / "tones.cfg"
+    path.write_text(open(tiny_cfg).read() + extra + "\n")
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started before the tone ids were checked")
+
+    monkeypatch.setattr(cli, "train_teacher", no_training)
+    out = tmp_path / "run"
+    assert main(["train-teacher", "--config", str(path), "--out", str(out)]) == 2
+    assert "outside [1, n_tokens - 1 = " in capsys.readouterr().err
+    assert os.listdir(out) == []
 
 
 def test_explicit_selection_needs_indices(tiny_cfg, tmp_path, capsys):

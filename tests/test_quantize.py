@@ -5,6 +5,9 @@ file sizes are checked against actual bytes on disk rather than the
 accounting function alone.
 """
 
+import re
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +18,7 @@ from smallwav.model import (
     AcousticModel,
     BadMagicError,
     BadVersionError,
+    CheckpointError,
     ModelConfig,
     TruncatedError,
     checkpoint_bytes,
@@ -534,6 +538,25 @@ def test_swq8_rejects_foreign_and_damaged_files(tmp_path):
     (tmp_path / "long.swq8").write_bytes(raw + b"\x00\x00")
     with pytest.raises(TruncatedError):
         load_quantized_model(tmp_path / "long.swq8")
+
+
+@pytest.mark.parametrize(
+    "patch", [{"zero_point": 5}, {"scale": -1.0}, {"scale": float("nan")}], ids=str
+)
+def test_swq8_rejects_a_weight_record_that_is_not_symmetric_int8(tmp_path, patch):
+    _, qm = _tiny_quantized()
+    path = tmp_path / "m.swq8"
+    save_quantized_model(qm, path)
+    raw = bytearray(path.read_bytes())
+    name, first = qm.named_linears()[0]
+    at = len(raw) - sum(QUANT_PARAMS_BYTES + lin.w_q.size for _, lin in qm.named_linears())
+    record = {"scale": first.w_params.scale, "zero_point": 0}
+    assert struct.unpack_from("<fi", raw, at) == tuple(record.values())
+    record.update(patch)
+    struct.pack_into("<fi", raw, at, *record.values())
+    path.write_bytes(raw)
+    with pytest.raises(CheckpointError, match=re.escape(name)):
+        load_quantized_model(path)
 
 
 def test_size_ratio_for_a_linear_dominated_config():
