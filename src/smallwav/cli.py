@@ -142,11 +142,26 @@ def _path(out, name, override=None) -> str:
     return override if override else os.path.join(out, name)
 
 
-def _load_teacher(out, override):
+def _in_layout(model, cfg: dict):
+    """model, if the data cfg builds is in its token layout.
+
+    The data's word boundary comes from the config's n_tokens and every
+    scorer's from the model's, so the two must agree.
+    """
+    n_tokens = model_config_from(cfg).n_tokens
+    if model.config.n_tokens != n_tokens:
+        raise ConfigError(
+            f"the checkpoint has n_tokens = {model.config.n_tokens}, "
+            f"but the config builds data with n_tokens = {n_tokens}"
+        )
+    return model
+
+
+def _load_teacher(cfg, out, override):
     path = _path(out, "teacher.swav", override)
     if not os.path.exists(path):
         raise CheckpointError(f"no teacher checkpoint at {path}; run train-teacher first")
-    return load_model(path)
+    return _in_layout(load_model(path), cfg)
 
 
 def cmd_gen_data(args) -> int:
@@ -195,7 +210,7 @@ def _selection(args) -> LayerSelection:
 
 def cmd_distill(args) -> int:
     cfg, seed, out = _setup(args)
-    teacher = _load_teacher(out, args.teacher)
+    teacher = _load_teacher(cfg, out, args.teacher)
     if args.layers is None and args.select != "explicit":
         args.layers = int(driver_value(cfg, "student_layers"))
     student = init_student(teacher, _selection(args))
@@ -225,7 +240,7 @@ def cmd_quantize(args) -> int:
 
 def cmd_prune(args) -> int:
     cfg, _, out = _setup(args)
-    model = load_model(_path(out, "student.swav", args.model))
+    model = _in_layout(load_model(_path(out, "student.swav", args.model)), cfg)
     if args.sensitivity or args.default_sensitivity is not None:
         pairs = []
         for item in args.sensitivity:
@@ -258,7 +273,7 @@ def _load_any(path):
 
 def cmd_eval(args) -> int:
     cfg, seed, out = _setup(args)
-    model = _load_any(_path(out, "student.swav", args.model))
+    model = _in_layout(_load_any(_path(out, "student.swav", args.model)), cfg)
     _, _, eval_set = experiment_datasets(cfg, seed)
     boundary = model.config.boundary
     refs = [list(t) for _, t in eval_set]
@@ -294,7 +309,7 @@ def cmd_sweep_layers(args) -> int:
     cfg, seed, out = _setup(args)
     student_cfg = distill_config_from(cfg, seed)
     repeats = time_repeats_from(cfg)
-    teacher = _load_teacher(out, args.teacher)
+    teacher = _load_teacher(cfg, out, args.teacher)
     depth = teacher.config.n_transformer_layers
     counts = (
         [int(c) for c in args.layers.split(",")]
@@ -316,7 +331,7 @@ def cmd_sweep_layers(args) -> int:
 
 def cmd_exp_init(args) -> int:
     cfg, seed, out = _setup(args)
-    teacher = _load_teacher(out, args.teacher)
+    teacher = _load_teacher(cfg, out, args.teacher)
     depth = teacher.config.n_transformer_layers
     k = args.k if args.k is not None else min(int(driver_value(cfg, "student_layers")), depth - 1)
     train, val, _ = experiment_datasets(cfg, seed)
@@ -337,7 +352,7 @@ def cmd_exp_init(args) -> int:
 
 def cmd_exp_data(args) -> int:
     cfg, seed, out = _setup(args)
-    teacher = _load_teacher(out, args.teacher)
+    teacher = _load_teacher(cfg, out, args.teacher)
     k = args.k if args.k is not None else int(driver_value(cfg, "student_layers"))
     train, val, _ = experiment_datasets(cfg, seed)
     n = len(train)

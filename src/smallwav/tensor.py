@@ -9,7 +9,8 @@ zeroing; optimizers must clear gradients between steps.  Inside a
 teachers.
 
 Only the ops the acoustic model needs are provided.  Shapes are checked
-eagerly and failures name both operands.
+eagerly and failures name both operands.  Everything is numpy: gelu is
+the exact x * Phi(x), with an erf of its own accurate to 4.5e-7.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import threading
 from contextlib import contextmanager
 
 import numpy as np
-from scipy.special import erf
 
 __all__ = [
     "Tensor",
@@ -46,6 +46,18 @@ __all__ = [
 
 _INV_SQRT2 = float(1.0 / np.sqrt(2.0))
 _INV_SQRT2PI = float(1.0 / np.sqrt(2.0 * np.pi))
+
+# erf(z) ~ z * P(z^2) / Q(z^2) on [-4, 4], the float32 rational form of
+# Eigen and XLA; past 4, erf is +-1 in float32.  Highest power first.
+_ERF_P = tuple(np.float32(c) for c in (
+    -2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06,
+    -5.69250639462346e-05, -7.34990630326855e-04, -2.95459980854025e-03,
+    -1.60960333262415e-02,
+))
+_ERF_Q = tuple(np.float32(c) for c in (
+    -1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
+    -7.37332916720468e-03, -1.42647390514189e-02,
+))
 
 
 class ShapeError(ValueError):
@@ -421,11 +433,41 @@ def softmax(a, axis: int = -1) -> Tensor:
     return _make(y, (a,), bw)
 
 
+def _horner(z2: np.ndarray, coeffs: tuple) -> np.ndarray:
+    """The polynomial in z2 with these coefficients, in place after one pass."""
+    acc = z2 * coeffs[0]
+    acc += coeffs[1]
+    for c in coeffs[2:]:
+        acc *= z2
+        acc += c
+    return acc
+
+
+def _erf(x: np.ndarray) -> np.ndarray:
+    """erf in the dtype of x, within 4.5e-7 of the true value.
+
+    nan stays nan, +-inf gives +-1 and +-0 gives +-0.  The ratio overshoots
+    1 by up to 4e-7 near |z| = 4, so it is clipped to erf's range.
+    """
+    z = np.clip(x, -4.0, 4.0)
+    z2 = z * z
+    p = _horner(z2, _ERF_P)
+    p *= z
+    p /= _horner(z2, _ERF_Q)
+    return np.clip(p, -1.0, 1.0, out=p)
+
+
 def gelu(a) -> Tensor:
-    """Exact Gaussian-error-linear unit, x * Phi(x)."""
+    """Exact Gaussian-error-linear unit, x * Phi(x).
+
+    Phi(x) = (1 + erf(x / sqrt 2)) / 2 with _erf, so in float32 gelu is
+    within 1.4e-6 of exact on [-10, 10].
+    """
     a = _lift(a)
     x = a.data
-    cdf = 0.5 * (1.0 + erf(x * x.dtype.type(_INV_SQRT2)))
+    cdf = _erf(x * x.dtype.type(_INV_SQRT2))
+    cdf += 1.0
+    cdf *= 0.5
     data = x * cdf
 
     def bw(g):
@@ -434,6 +476,15 @@ def gelu(a) -> Tensor:
             _accumulate(a, g * (cdf + x * pdf))
 
     return _make(data, (a,), bw)
+
+
+def _last_axis_mean(a: np.ndarray) -> np.ndarray:
+    """a.mean(axis=-1, keepdims=True), bit for bit, without its wrapper.
+
+    ndarray.mean and ndarray.var divide the sum by an intp count this way.
+    """
+    s = np.add.reduce(a, axis=-1, keepdims=True)
+    return np.true_divide(s, np.intp(a.shape[-1]), out=s, casting="unsafe")
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
@@ -449,10 +500,10 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
             f"layer_norm: gain {gain.shape} and bias {bias.shape} "
             f"must both be ({d},) for input {x.shape}"
         )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+    xhat = x.data - _last_axis_mean(x.data)
+    var = _last_axis_mean(xhat * xhat)
     inv = 1.0 / np.sqrt(var + x.data.dtype.type(eps))
-    xhat = (x.data - mu) * inv
+    xhat *= inv
     data = gain.data * xhat + bias.data
 
     def bw(g):
@@ -462,8 +513,8 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
             _accumulate(bias, g.reshape(-1, d).sum(axis=0))
         if x.requires_grad:
             gh = g * gain.data
-            m1 = gh.mean(axis=-1, keepdims=True)
-            m2 = (gh * xhat).mean(axis=-1, keepdims=True)
+            m1 = _last_axis_mean(gh)
+            m2 = _last_axis_mean(gh * xhat)
             _accumulate(x, inv * (gh - m1 - xhat * m2))
 
     return _make(data, (x, gain, bias), bw)
@@ -503,10 +554,14 @@ def conv1d(x, kernels, stride: int) -> Tensor:
         raise ShapeError(
             f"conv1d: signal length {length} shorter than kernel width {k}"
         )
-    # (C_in, L', K) view of every window the kernel touches.
-    windows = np.lib.stride_tricks.sliding_window_view(x.data, k, axis=1)[:, ::stride]
+    # (C_in, L', K) view of every window the kernel touches: the view
+    # sliding_window_view(x, k, axis=1)[:, ::stride] builds, made directly.
+    l_out = (length - k) // stride + 1
+    s0, s1 = x.data.strides
+    windows = np.lib.stride_tricks.as_strided(
+        x.data, (c_in, l_out, k), (s0, s1 * stride, s1), writeable=False
+    )
     data = np.tensordot(windows, kernels.data, ([0, 2], [1, 2])).T
-    l_out = data.shape[1]
 
     def bw(g):
         if kernels.requires_grad:

@@ -17,6 +17,7 @@ from smallwav.config import (
 from smallwav.data import SynthSpec, generate_dataset, load_dataset
 from smallwav.model import AcousticModel, ConfigError, load_model, save_model
 from smallwav.prune import REPORT_COLUMNS
+from smallwav.quantize import quantize_model, save_quantized_model
 from smallwav.table import read_table
 
 TINY_CFG_TEXT = """
@@ -261,6 +262,41 @@ def test_tones_that_reach_the_boundary_fail_before_training(
     assert main(["train-teacher", "--config", str(path), "--out", str(out)]) == 2
     assert "outside [1, n_tokens - 1 = " in capsys.readouterr().err
     assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["distill"],
+        ["prune"],
+        ["eval"],
+        ["eval", "--model", "model.swq8"],
+        ["sweep-layers"],
+        ["exp-init", "--k", "1"],
+        ["exp-data"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_a_checkpoint_in_another_token_layout_fails_before_any_work(
+    tiny_cfg, tmp_path, capsys, monkeypatch, argv
+):
+    out = tmp_path / "run"
+    out.mkdir()
+    model = AcousticModel.init(model_config_from({**parse_config(tiny_cfg), "n_tokens": 13}))
+    for name in ("teacher.swav", "student.swav"):
+        save_model(model, out / name)
+    save_quantized_model(quantize_model(model), out / "model.swq8")
+    argv = [part if part != "model.swq8" else str(out / part) for part in argv]
+
+    def no_data(*args, **kwargs):
+        raise AssertionError("data was built before the token layouts were compared")
+
+    monkeypatch.setattr(cli, "experiment_datasets", no_data)
+    assert main(argv + ["--config", tiny_cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "checkpoint has n_tokens = 13" in err
+    assert "config builds data with n_tokens = 12" in err
+    assert sorted(os.listdir(out)) == ["model.swq8", "student.swav", "teacher.swav"]
 
 
 def test_explicit_selection_needs_indices(tiny_cfg, tmp_path, capsys):

@@ -1,6 +1,9 @@
-"""Every module of the package uses each name it imports."""
+"""Every module of the package uses each name it imports, and numpy is its one dependency."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import smallwav
@@ -31,3 +34,16 @@ def test_no_module_imports_a_name_it_never_uses():
         for entry in unused_imports(path)
     ]
     assert found == []
+
+
+def test_the_package_and_its_command_line_never_import_scipy():
+    probe = (
+        "import sys, smallwav, smallwav.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import erf
 
 from smallwav.tensor import (
     NumericError,
@@ -12,6 +13,7 @@ from smallwav.tensor import (
     ShapeError,
     Tensor,
     _accumulate,
+    _erf,
     add,
     attention_core,
     clamp_min,
@@ -56,6 +58,32 @@ def test_gelu_at_one_matches_quadrature():
     out = gelu(Tensor([1.0]))
     assert close(out.data, [1.0 * phi1])
     assert abs(float(out.data[0]) - 0.841344746) < 1e-6
+
+
+def test_erf_and_gelu_match_float64_erf_on_a_dense_float32_grid():
+    x = np.linspace(-10.0, 10.0, 2_000_001, dtype=np.float32)
+    wide = x.astype(np.float64)
+    e = _erf(x)
+    assert e.dtype == np.float32
+    assert np.max(np.abs(e - erf(wide))) < 5e-7
+    out = gelu(Tensor(x)).data
+    assert out.dtype == np.float32
+    exact = wide * 0.5 * (1.0 + erf(wide / np.sqrt(2.0)))
+    assert np.max(np.abs(out - exact)) < 2e-6
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_erf_and_gelu_keep_the_special_values(dtype):
+    x = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0], dtype=dtype)
+    with np.errstate(invalid="ignore"):
+        expect_gelu = x * (0.5 * (1.0 + erf(x * dtype(1.0 / np.sqrt(2.0)))))
+        out = gelu(Tensor(x)).data
+        e = _erf(x)
+    assert np.array_equal(e, erf(x), equal_nan=True)
+    assert np.array_equal(np.signbit(e), np.signbit(erf(x)))
+    assert np.array_equal(out, expect_gelu, equal_nan=True)
+    assert np.array_equal(np.signbit(out), np.signbit(expect_gelu))
+    assert out.dtype == e.dtype == dtype
 
 
 def test_layer_norm_two_values():
@@ -388,6 +416,53 @@ def test_conv1d_is_bit_exact_against_einsum(c_in, length, c_out, width, order):
     assert np.array_equal(out.data, out_ref) and out.data.strides == out_ref.strides
     assert np.array_equal(tx.grad, dx_ref)
     assert np.array_equal(tk.grad, dk_ref)
+
+
+@pytest.mark.parametrize("stride", [1, 3, 4])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_conv1d_windows_follow_the_stride(stride, order):
+    rng = np.random.default_rng(stride)
+    x = np.asarray(rng.standard_normal((3, 29)), dtype=np.float32, order=order)
+    kernels = rng.standard_normal((5, 3, 4)).astype(np.float32)
+    g = rng.standard_normal((5, (29 - 4) // stride + 1)).astype(np.float32)
+    out_ref, dx_ref, dk_ref = einsum_conv1d(x, kernels, stride, g)
+    tx, tk = Tensor(x, requires_grad=True), Tensor(kernels, requires_grad=True)
+    out = conv1d(tx, tk, stride=stride)
+    out._backward(g)
+    assert np.array_equal(out.data, out_ref)
+    assert np.array_equal(tx.grad, dx_ref)
+    assert np.array_equal(tk.grad, dk_ref)
+
+
+def reference_layer_norm(x, gain, bias, g, eps=1e-5):
+    """Forward output and (dx, dgain, dbias) with ndarray.mean and .var."""
+    d = x.shape[-1]
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + x.dtype.type(eps))
+    xhat = (x - mu) * inv
+    out = gain * xhat + bias
+    gh = g * gain
+    m1 = gh.mean(axis=-1, keepdims=True)
+    m2 = (gh * xhat).mean(axis=-1, keepdims=True)
+    dx = inv * (gh - m1 - xhat * m2)
+    return out, dx, (g * xhat).reshape(-1, d).sum(axis=0), g.reshape(-1, d).sum(axis=0)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_layer_norm_is_bit_exact_against_mean_and_var(dtype):
+    rng = np.random.default_rng(23)
+    for n in range(1, 101):
+        x, g = (rng.standard_normal((5, n)).astype(dtype) for _ in range(2))
+        gain = rng.uniform(0.5, 1.5, n).astype(dtype)
+        bias = rng.standard_normal(n).astype(dtype)
+        out_ref, *grads_ref = reference_layer_norm(x, gain, bias, g)
+        tx, tg, tb = (Tensor(a, requires_grad=True) for a in (x, gain, bias))
+        out = layer_norm(tx, tg, tb)
+        out._backward(g)
+        assert np.array_equal(out.data, out_ref), f"forward differs at n={n}"
+        for name, t, ref in zip(("x", "gain", "bias"), (tx, tg, tb), grads_ref):
+            assert np.array_equal(t.grad, ref), f"d{name} differs at n={n}"
 
 
 def test_first_gradient_write_keeps_layout_and_clears_negative_zero():
