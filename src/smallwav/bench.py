@@ -20,7 +20,7 @@ import numpy as np
 
 from .ctc import ctc_loss
 from .decode import best_path_decode, wer
-from .distill import DistillConfig, DistillHistory, distill, fit
+from .distill import DistillConfig, DistillHistory, distill, evaluate, fit
 from .model import (
     AcousticModel,
     ConfigError,
@@ -32,7 +32,6 @@ from .model import (
 )
 from .quantize import model_size_bytes, prepack, quantize_model
 from .table import read_table, write_table, write_text
-from .tensor import no_grad
 
 REPORT_COLUMNS = ("model", "layers", "params", "bytes", "cpu_s", "wer")
 
@@ -146,11 +145,12 @@ class TeacherEpoch:
 def train_teacher(train, val, model_config: ModelConfig, cfg: DistillConfig) -> tuple:
     """Train a fresh model with CTC loss on the synthetic task.
 
-    Runs distill.fit, the loop distillation runs too (cfg's epochs,
-    learning rates, decay and shuffling seed), with the CTC loss and
-    this function's step plan.  Returns the snapshot with the lowest
-    validation loss and the per-epoch history; train_loss is per
-    utterance, and val_wer splits words at model_config.boundary.
+    Runs distill.fit and distill.evaluate, the loop and the validation
+    distillation runs too (cfg's epochs, learning rates, decay and
+    shuffling seed), with the CTC loss and this function's step plan.
+    Returns the snapshot with the lowest validation loss and the
+    per-epoch history; train_loss is per utterance, and val_wer splits
+    words at model_config.boundary.
 
     On a training set of CURRICULUM_MIN_UTTERANCES or more, the run
     follows a length curriculum.  On the lab's 160-utterance set it
@@ -199,7 +199,12 @@ def train_teacher(train, val, model_config: ModelConfig, cfg: DistillConfig) -> 
         wave, transcript = step
         return (ctc_loss(m.forward(wave)[0], transcript),)
 
-    best, _, rows = fit(model, len(train), cfg, steps, terms, lambda m: _teacher_val(m, val))
+    transcripts = [t for _, t in val]
+
+    def validate(m):
+        return evaluate(m, val, transcripts, lambda logits, _, t: ctc_loss(logits, t))
+
+    best, _, rows = fit(model, len(train), cfg, steps, terms, validate)
     return best, [TeacherEpoch(*row) for row in rows]
 
 
@@ -221,19 +226,6 @@ def _teacher_steps(train, order, config: ModelConfig, join: bool):
                 wave, transcript = joined, list(transcript) + list(transcript2)
                 k += 1
         yield wave, transcript
-
-
-def _teacher_val(model: AcousticModel, val) -> tuple:
-    """Mean CTC loss and WER (percent) over val, one forward per utterance."""
-    total = 0.0
-    refs, hyps = [], []
-    with no_grad():
-        for wave, transcript in val:
-            logits, _ = model.forward(wave)
-            total += ctc_loss(logits, transcript).item()
-            refs.append(list(transcript))
-            hyps.append(best_path_decode(logits.data))
-    return total / len(val), 100.0 * wer(refs, hyps, boundary=model.config.boundary).wer
 
 
 def write_teacher_history_csv(history, path) -> None:

@@ -54,6 +54,7 @@ from .prune import (
     write_report_csv,
 )
 from .quantize import (
+    QMAGIC,
     load_quantized_model,
     model_size_bytes,
     prepack,
@@ -61,6 +62,27 @@ from .quantize import (
     save_quantized_model,
 )
 from .table import write_table
+
+
+def _int_list(text: str) -> list:
+    """The value of a comma-list flag (--indices, --layers, --sizes)."""
+    try:
+        return [int(part) for part in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a comma list of integers, got {text!r}"
+        ) from None
+
+
+def _sensitivity(text: str) -> tuple:
+    """The (pattern, value) of one --sensitivity PATTERN=VALUE."""
+    pattern, _, value = text.partition("=")
+    try:
+        return pattern, float(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected PATTERN=VALUE with a number for VALUE, got {text!r}"
+        ) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -88,7 +110,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="alternating",
         help="which teacher layers initialize the student",
     )
-    p.add_argument("--indices", default=None, help="comma list for --select explicit")
+    p.add_argument(
+        "--indices", type=_int_list, default=None, help="comma list for --select explicit"
+    )
 
     p = sub.add_parser("quantize", parents=[common], help="int8-quantize a checkpoint")
     p.add_argument("--model", default=None, help="float checkpoint (.swav)")
@@ -97,6 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", default=None, help="float checkpoint (.swav)")
     p.add_argument(
         "--sensitivity",
+        type=_sensitivity,
         action="append",
         default=[],
         metavar="PATTERN=VALUE",
@@ -117,7 +142,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep-layers", parents=[common], help="depth/accuracy tradeoff")
     p.add_argument("--teacher", default=None, help="teacher checkpoint (.swav)")
-    p.add_argument("--layers", default=None, help="comma list of depths (default all)")
+    p.add_argument(
+        "--layers", type=_int_list, default=None, help="comma list of depths (default all)"
+    )
 
     p = sub.add_parser("exp-init", parents=[common], help="alternating vs last-k picks")
     p.add_argument("--teacher", default=None, help="teacher checkpoint (.swav)")
@@ -126,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("exp-data", parents=[common], help="distill on nested subsets")
     p.add_argument("--teacher", default=None, help="teacher checkpoint (.swav)")
     p.add_argument("--k", type=int, default=None, help="student transformer depth")
-    p.add_argument("--sizes", default=None, help="comma list of train-set sizes")
+    p.add_argument("--sizes", type=_int_list, default=None, help="comma list of train-set sizes")
 
     return parser
 
@@ -200,7 +227,7 @@ def _selection(args) -> LayerSelection:
     if args.select == "explicit":
         if args.indices is None:
             raise SelectionError("--select explicit needs --indices")
-        return LayerSelection.explicit([int(i) for i in args.indices.split(",")])
+        return LayerSelection.explicit(args.indices)
     if args.layers is None:
         raise SelectionError("--layers is required for alternating/last_k")
     if args.select == "last_k":
@@ -242,13 +269,7 @@ def cmd_prune(args) -> int:
     cfg, _, out = _setup(args)
     model = _in_layout(load_model(_path(out, "student.swav", args.model)), cfg)
     if args.sensitivity or args.default_sensitivity is not None:
-        pairs = []
-        for item in args.sensitivity:
-            pattern, _, value = item.partition("=")
-            if not value:
-                raise ConfigError(f"--sensitivity needs PATTERN=VALUE, got {item!r}")
-            pairs.append((pattern, float(value)))
-        smap = SensitivityMap(pairs, default=args.default_sensitivity)
+        smap = SensitivityMap(args.sensitivity, default=args.default_sensitivity)
     else:
         smap = default_sensitivity_map(model.config)
     pruned, report = prune_model(model, smap)
@@ -266,7 +287,7 @@ def _load_any(path):
             magic = fh.read(4)
     except OSError as exc:
         raise CheckpointError(f"cannot read {path}: {exc}") from exc
-    if magic == b"SWQ8":
+    if magic == QMAGIC:
         return prepack(load_quantized_model(path))
     return load_model(path)
 
@@ -290,9 +311,13 @@ def cmd_bench(args) -> int:
     teacher_cfg = teacher_config_from(cfg, seed)
     student_cfg = distill_config_from(cfg, seed)
     repeats = time_repeats_from(cfg)
+    model_cfg = model_config_from(cfg)
+    depth = model_cfg.n_transformer_layers
+    layers = args.layers if args.layers is not None else int(driver_value(cfg, "student_layers"))
+    if not 1 <= layers <= depth:
+        raise ConfigError(f"bench: student depth {layers} outside [1, {depth}]")
     train, val, eval_set = experiment_datasets(cfg, seed)
-    teacher, _ = train_teacher(train, val, model_config_from(cfg), teacher_cfg)
-    layers = args.layers if args.layers else int(driver_value(cfg, "student_layers"))
+    teacher, _ = train_teacher(train, val, model_cfg, teacher_cfg)
     reports = run_compression_bench(
         teacher, student_cfg, layers, train, val, eval_set, repeats=repeats
     )
@@ -311,11 +336,7 @@ def cmd_sweep_layers(args) -> int:
     repeats = time_repeats_from(cfg)
     teacher = _load_teacher(cfg, out, args.teacher)
     depth = teacher.config.n_transformer_layers
-    counts = (
-        [int(c) for c in args.layers.split(",")]
-        if args.layers
-        else list(range(1, depth + 1))
-    )
+    counts = args.layers or list(range(1, depth + 1))
     train, val, eval_set = experiment_datasets(cfg, seed)
     reports = run_tradeoff_sweep(
         teacher, counts, student_cfg, train, val, eval_set, repeats=repeats
@@ -356,11 +377,7 @@ def cmd_exp_data(args) -> int:
     k = args.k if args.k is not None else int(driver_value(cfg, "student_layers"))
     train, val, _ = experiment_datasets(cfg, seed)
     n = len(train)
-    sizes = (
-        [int(s) for s in args.sizes.split(",")]
-        if args.sizes
-        else sorted({max(1, n // 4), max(1, n // 2), n})
-    )
+    sizes = args.sizes or sorted({max(1, n // 4), max(1, n // 2), n})
     results = run_data_experiment(teacher, k, sizes, distill_config_from(cfg, seed), train, val)
     rows = []
     for size, hist in results:

@@ -1,4 +1,4 @@
-"""Knowledge distillation: objective, optimizer, schedule, training loop.
+"""Knowledge distillation: objective, optimizer, schedule, training and validation.
 
 The training signal is KL(teacher || student) between per-frame token
 distributions, averaged over frames, plus a small penalty on the energy
@@ -257,29 +257,30 @@ def teacher_logits(teacher: AcousticModel, dataset) -> list:
         return [teacher.forward(wave)[0] for wave, _ in dataset]
 
 
-def evaluate(targets: list, student: AcousticModel, val_set, cfg: DistillConfig) -> tuple:
-    """Mean objective and WER (percent) of the student on a dataset.
+def evaluate(model: AcousticModel, dataset, targets: list, loss) -> tuple:
+    """Mean loss and WER (percent) of a model on a dataset, off the tape.
 
-    targets holds the teacher's logits for each utterance of val_set,
-    in order, as teacher_logits() builds them.  Words split at the
-    student's boundary token, student.config.boundary.
+    The lab's one validation routine, for the CTC teacher and the
+    student alike.  targets holds one target per utterance of dataset,
+    in order: the transcripts for CTC, or the teacher's logits as
+    teacher_logits() builds them.  loss(logits, conv_out, target)
+    returns one utterance's scalar loss Tensor.  Words split at the
+    model's boundary token, model.config.boundary.
     """
-    if len(targets) != len(val_set):
+    if len(targets) != len(dataset):
         raise ValueError(
-            f"evaluate: {len(targets)} teacher logits for "
-            f"{len(val_set)} utterances"
+            f"evaluate: {len(targets)} targets for {len(dataset)} utterances"
         )
-    totals = []
+    losses = []
     refs, hyps = [], []
     with no_grad():
-        for t_logits, (wave, transcript) in zip(targets, val_set):
-            s_logits, s_conv = student.forward(wave)
-            lb = objective(t_logits, s_logits, s_conv, cfg)
-            totals.append(float(lb.total.data))
+        for target, (wave, transcript) in zip(targets, dataset):
+            logits, conv_out = model.forward(wave)
+            losses.append(loss(logits, conv_out, target).item())
             refs.append(list(transcript))
-            hyps.append(best_path_decode(s_logits.data))
-    report = wer(refs, hyps, boundary=student.config.boundary)
-    return float(np.mean(totals)), 100.0 * report.wer
+            hyps.append(best_path_decode(logits.data))
+    report = wer(refs, hyps, boundary=model.config.boundary)
+    return float(np.mean(losses)), 100.0 * report.wer
 
 
 def fit(model: AcousticModel, n_items: int, cfg: DistillConfig, steps, loss, validate) -> tuple:
@@ -360,6 +361,8 @@ def distill(
         cfg,
         lambda epoch, order: order,
         terms,
-        lambda model: evaluate(val_targets, model, val_set, cfg),
+        lambda model: evaluate(
+            model, val_set, val_targets, lambda s, c, t: objective(t, s, c, cfg).total
+        ),
     )
     return best, DistillHistory(*initial, [EpochStats(*row) for row in rows])

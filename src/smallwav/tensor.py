@@ -131,36 +131,6 @@ class Tensor:
             if node._backward is not None:
                 node._backward(node.grad)
 
-    # Operator sugar.  Scalars and ndarrays lift to constant tensors.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise TypeError("division by a Tensor is not supported")
-        return mul(self, 1.0 / float(other))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, idx):
         return _getitem(self, idx)
 
@@ -659,9 +629,6 @@ class Rng:
 
     def normal(self, shape, std: float = 1.0, dtype=np.float64) -> np.ndarray:
         return (self._gen.standard_normal(shape) * std).astype(dtype)
-
-    def uniform(self, low: float, high: float, shape=None) -> np.ndarray:
-        return self._gen.uniform(low, high, shape)
 
     def integers(self, low: int, high: int, size=None):
         """Draws from [low, high), matching numpy's Generator convention."""

@@ -23,6 +23,7 @@ from smallwav.bench import (
     write_curve,
     write_teacher_history_csv,
 )
+from smallwav.ctc import ctc_loss
 from smallwav.data import SynthSpec, generate_dataset
 from smallwav.decode import best_path_decode, wer
 from smallwav.distill import (
@@ -30,6 +31,7 @@ from smallwav.distill import (
     DistillHistory,
     evaluate,
     lr_at,
+    objective,
     teacher_logits,
     write_history_csv,
 )
@@ -53,6 +55,10 @@ SMALL_CFG = ModelConfig(
 )
 
 FAST_CFG = DistillConfig(epochs=1, warmup_epochs=0, seed=7)
+
+
+def ctc(logits, _conv_out, transcript):
+    return ctc_loss(logits, transcript)
 
 
 def make_set(n, seed):
@@ -213,7 +219,7 @@ def test_teacher_returns_the_best_validation_snapshot():
     val = make_set(3, seed=33)
     cfg = DistillConfig(epochs=3, base_lr=1e-4, warmup_epochs=1, seed=6)
     model, history = train_teacher(train, val, SMALL_CFG, cfg)
-    returned, _ = bench._teacher_val(model, val)
+    returned, _ = evaluate(model, val, [t for _, t in val], ctc)
     best_seen = min(h.val_loss for h in history)
     assert returned <= best_seen + 1e-9
 
@@ -263,7 +269,7 @@ def test_length_curriculum_run_is_deterministic_and_keeps_the_contract(monkeypat
     m2, h2 = train_teacher(train, val, SMALL_CFG, cfg)
     assert h1 == h2
     assert all((a.data == b.data).all() for a, b in zip(m1.params(), m2.params()))
-    returned, _ = bench._teacher_val(m1, val)
+    returned, _ = evaluate(m1, val, [t for _, t in val], ctc)
     assert returned <= min(h.val_loss for h in h1) + 1e-9
     _, h_short = train_teacher(train[:4], val, SMALL_CFG, cfg)
 
@@ -399,5 +405,8 @@ def test_every_scorer_splits_words_at_the_model_boundary():
     hyps = [best_path_decode(model.infer(w)) for w, _ in val]
     expected = 100.0 * wer(refs, hyps, boundary=12).wer
     assert expected != 100.0 * wer(refs, hyps, boundary=11).wer
-    _, distill_wer = evaluate(teacher_logits(model, val), model, val, FAST_CFG)
-    assert bench._teacher_val(model, val)[1] == eval_wer(model, val) == distill_wer == expected
+    _, ctc_wer = evaluate(model, val, refs, ctc)
+    _, distill_wer = evaluate(
+        model, val, teacher_logits(model, val), lambda s, c, t: objective(t, s, c, FAST_CFG).total
+    )
+    assert ctc_wer == eval_wer(model, val) == distill_wer == expected

@@ -236,6 +236,28 @@ def test_too_few_time_repeats_fail_before_training(
     assert sorted(os.listdir(out)) == ["teacher.swav"]
 
 
+@pytest.mark.parametrize(
+    "extra, argv",
+    [("", ["--layers", "0"]), ("", ["--layers", "3"]), ("student_layers = 3\n", [])],
+    ids=["--layers 0", "--layers 3", "student_layers = 3"],
+)
+def test_a_student_depth_outside_the_teacher_fails_before_training(
+    tiny_cfg, tmp_path, capsys, monkeypatch, extra, argv
+):
+    path = tmp_path / "depth.cfg"
+    path.write_text(open(tiny_cfg).read() + extra)
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started before the student depth was checked")
+
+    monkeypatch.setattr(cli, "train_teacher", no_training)
+    out = tmp_path / "run"
+    assert main(["bench", "--config", str(path), "--out", str(out)] + argv) == 2
+    depth = argv[-1] if argv else "3"
+    assert f"error: bench: student depth {depth} outside [1, 2]" in capsys.readouterr().err
+    assert os.listdir(out) == []
+
+
 def test_a_boundary_key_fails_before_any_file_is_written(tiny_cfg, tmp_path, capsys):
     path = tmp_path / "boundary.cfg"
     path.write_text(open(tiny_cfg).read() + "n_tokens = 13\nboundary = 12\n")
@@ -307,6 +329,38 @@ def test_explicit_selection_needs_indices(tiny_cfg, tmp_path, capsys):
     )
     assert code == 2
     assert "--indices" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["distill", "--select", "explicit", "--indices", "0,a"],
+        ["sweep-layers", "--layers", "1,x"],
+        ["exp-data", "--sizes", "4,q"],
+        ["prune", "--sensitivity", "conv*=abc"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_a_malformed_list_flag_exits_2_before_any_work(
+    tiny_cfg, tmp_path, capsys, monkeypatch, argv
+):
+    out = tmp_path / "run"
+    out.mkdir()
+    model = AcousticModel.init(model_config_from(parse_config(tiny_cfg)), seed=0)
+    for name in ("teacher.swav", "student.swav"):
+        save_model(model, out / name)
+
+    def no_data(*args, **kwargs):
+        raise AssertionError("data was built before the flag was parsed")
+
+    monkeypatch.setattr(cli, "experiment_datasets", no_data)
+    with pytest.raises(SystemExit) as exit_:
+        main(argv + ["--config", tiny_cfg, "--out", str(out)])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: argument {argv[-2]}: " in err
+    assert repr(argv[-1]) in err
+    assert sorted(os.listdir(out)) == ["student.swav", "teacher.swav"]
 
 
 def test_bench_reruns_identically_except_wall_clock(tiny_cfg, tmp_path):

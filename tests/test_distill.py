@@ -419,7 +419,7 @@ def test_returned_model_has_best_val_loss():
         [history.initial_val_total] + [r.val_total for r in history.epochs]
     )
     targets = teacher_logits(teacher, val)
-    got, _ = evaluate(targets, best, val, cfg)
+    got, _ = evaluate(best, val, targets, lambda s, c, t: objective(t, s, c, cfg).total)
     assert close(got, best_recorded, rtol=1e-6)
 
 
@@ -465,7 +465,12 @@ def test_teacher_logits_carry_no_tape():
 def test_evaluate_rejects_logits_for_a_set_of_another_length():
     teacher, student, _, val = tiny_setup()
     with pytest.raises(ValueError):
-        evaluate(teacher_logits(teacher, val[:1]), student, val, DistillConfig())
+        evaluate(
+            student,
+            val,
+            teacher_logits(teacher, val[:1]),
+            lambda s, c, t: objective(t, s, c, DistillConfig()).total,
+        )
 
 
 def test_history_csv_roundtrip(tmp_path):
