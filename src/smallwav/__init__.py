@@ -9,7 +9,6 @@ from .bench import (
     BenchReport,
     emit_report,
     eval_wer,
-    measure_inference,
     read_report,
     run_compression_bench,
     run_data_experiment,
@@ -76,7 +75,6 @@ __all__ = [
     "load_dataset",
     "load_model",
     "load_quantized_model",
-    "measure_inference",
     "model_size_bytes",
     "objective",
     "parse_config",

@@ -5,10 +5,7 @@ a CTC teacher on the synthetic task, distill students at several depths,
 time and size each model, and emit CSV/plot-data artifacts.  Runs are
 deterministic in their seeds except for the wall-clock columns.
 
-Timing methodology, pinned once: wall clock over the full eval set
-(forward plus decode), driver loop on a single thread, one warm-up pass
-excluded, median over at least three repeats.  Models compared in one
-table are timed in interleaved rounds (measure_inference_all).
+Every timing goes through measure_inference_all, which pins the method.
 """
 
 from __future__ import annotations
@@ -35,8 +32,6 @@ from .table import read_table, write_table, write_text
 
 REPORT_COLUMNS = ("model", "layers", "params", "bytes", "cpu_s", "wer")
 
-TEACHER_COLUMNS = ("epoch", "lr", "train_loss", "val_loss", "val_wer")
-
 # First epoch of the length curriculum that trains on joined pairs.  Joins
 # wait until a fresh model has left the all-blank plateau, which the lab's
 # recipe does by epoch 2-7 on the measured seeds.  Without shortest-first
@@ -52,7 +47,7 @@ JOIN_FROM_EPOCH = 8
 # better (CHANGES.md has the table).
 CURRICULUM_MIN_UTTERANCES = 40
 
-# Fewest timed passes measure_inference takes its median over.
+# Fewest timed passes measure_inference_all takes its median over.
 MIN_REPEATS = 3
 
 
@@ -61,8 +56,8 @@ class BenchReport:
     """One row of the size/latency/accuracy table.
 
     wer is in percent; cpu_s is the median eval-set wall clock from
-    measure_inference and the only field that varies between identically
-    seeded runs.
+    measure_inference_all and the only field that varies between
+    identically seeded runs.
     """
 
     model: str
@@ -91,28 +86,21 @@ def eval_wer(model, eval_set) -> float:
     return 100.0 * wer(refs, hyps, boundary=model.config.boundary).wer
 
 
-def measure_inference(model, eval_set, repeats: int = 3) -> float:
-    """Median wall-clock seconds for forward+decode over the eval set.
-
-    One untimed pass warms caches first; then the full set runs
-    `repeats` times and the median is returned.  The loop itself is
-    single-threaded; callers wanting exclusive timing must not run
-    anything else concurrently.
-    """
-    return measure_inference_all([model], eval_set, repeats)[0]
-
-
 def measure_inference_all(models, eval_set, repeats: int = 3) -> list:
-    """measure_inference for several models, their repeats interleaved.
+    """Median wall-clock seconds for forward+decode over the eval set, per model.
 
-    Each model gets its warm-up pass; then every round times each model
-    once, in turn.  The host's speed drifts over seconds (copies of one
-    model timed back to back ranged over 100-151 ms on a 2-core VM), so
-    timing the models one after another can rank them by when they
-    ran.  Interleaved rounds expose every model to the same drift.
+    Each model gets one untimed pass to warm caches first; then every
+    round times each model once over the full set, in turn, for
+    `repeats` (>= MIN_REPEATS) rounds, and each model's median is
+    returned.  The host's speed drifts over seconds (copies of one model
+    timed back to back ranged over 100-151 ms on a 2-core VM), so timing
+    the models one after another can rank them by when they ran.
+    Interleaved rounds expose every model to the same drift.  The loop
+    itself is single-threaded; callers wanting exclusive timing must not
+    run anything else concurrently.
     """
     if repeats < MIN_REPEATS:
-        raise ConfigError(f"measure_inference: repeats must be >= {MIN_REPEATS}, got {repeats}")
+        raise ConfigError(f"measure_inference_all: repeats must be >= {MIN_REPEATS}, got {repeats}")
 
     def one_pass(model):
         for wave, _ in eval_set:
@@ -204,8 +192,8 @@ def train_teacher(train, val, model_config: ModelConfig, cfg: DistillConfig) -> 
     def validate(m):
         return evaluate(m, val, transcripts, lambda logits, _, t: ctc_loss(logits, t))
 
-    best, _, rows = fit(model, len(train), cfg, steps, terms, validate)
-    return best, [TeacherEpoch(*row) for row in rows]
+    best, _, rows = fit(model, len(train), cfg, steps, terms, validate, TeacherEpoch)
+    return best, rows
 
 
 def _teacher_steps(train, order, config: ModelConfig, join: bool):
@@ -226,14 +214,6 @@ def _teacher_steps(train, order, config: ModelConfig, join: bool):
                 wave, transcript = joined, list(transcript) + list(transcript2)
                 k += 1
         yield wave, transcript
-
-
-def write_teacher_history_csv(history, path) -> None:
-    rows = [
-        (r.epoch, float(r.lr), float(r.train_loss), float(r.val_loss), float(r.val_wer))
-        for r in history
-    ]
-    write_table(path, TEACHER_COLUMNS, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ import os
 import sys
 
 from .bench import (
+    TeacherEpoch,
     emit_report,
     eval_wer,
     history_curve,
@@ -23,7 +24,6 @@ from .bench import (
     run_tradeoff_sweep,
     train_teacher,
     write_curve,
-    write_teacher_history_csv,
 )
 from .config import (
     distill_config_from,
@@ -37,7 +37,7 @@ from .config import (
 )
 from .data import save_dataset
 from .decode import best_path_decode, token_error_rate, wer, write_transcripts
-from .distill import distill, write_history_csv
+from .distill import EpochStats, distill, write_history_csv
 from .model import (
     CheckpointError,
     ConfigError,
@@ -213,7 +213,7 @@ def cmd_train_teacher(args) -> int:
     teacher_cfg = teacher_config_from(cfg, seed)
     model, history = train_teacher(train, val, model_cfg, teacher_cfg)
     save_model(model, os.path.join(out, "teacher.swav"))
-    write_teacher_history_csv(history, os.path.join(out, "teacher_history.csv"))
+    write_history_csv(TeacherEpoch, history, os.path.join(out, "teacher_history.csv"))
     final = history[-1]
     print(
         f"teacher: {model.count_params()} params, "
@@ -244,7 +244,7 @@ def cmd_distill(args) -> int:
     train, val, eval_set = experiment_datasets(cfg, seed)
     best, history = distill(teacher, student, train, val, distill_config_from(cfg, seed))
     save_model(best, os.path.join(out, "student.swav"))
-    write_history_csv(history, os.path.join(out, "history.csv"))
+    write_history_csv(EpochStats, history.epochs, os.path.join(out, "history.csv"))
     final = history.final()
     print(
         f"student: {best.config.n_transformer_layers} layers, "
@@ -266,7 +266,7 @@ def cmd_quantize(args) -> int:
 
 
 def cmd_prune(args) -> int:
-    cfg, _, out = _setup(args)
+    cfg, seed, out = _setup(args)
     model = _in_layout(load_model(_path(out, "student.swav", args.model)), cfg)
     if args.sensitivity or args.default_sensitivity is not None:
         smap = SensitivityMap(args.sensitivity, default=args.default_sensitivity)
@@ -276,7 +276,7 @@ def cmd_prune(args) -> int:
     save_model(pruned, os.path.join(out, "pruned.swav"))
     write_report_csv(report, os.path.join(out, "sparsity.csv"))
     print(f"global sparsity {100.0 * report.global_sparsity:.1f}%")
-    _, _, eval_set = experiment_datasets(cfg, effective_seed(cfg, args.seed))
+    _, _, eval_set = experiment_datasets(cfg, seed)
     print(f"eval WER {eval_wer(pruned, eval_set):.2f}%")
     return 0
 
@@ -357,17 +357,14 @@ def cmd_exp_init(args) -> int:
     k = args.k if args.k is not None else min(int(driver_value(cfg, "student_layers")), depth - 1)
     train, val, _ = experiment_datasets(cfg, seed)
     alt, last = run_init_experiment(teacher, k, distill_config_from(cfg, seed), train, val)
-    for name, hist in (("init_alternating", alt), ("init_last_k", last)):
-        write_history_csv(hist, os.path.join(out, f"{name}.csv"))
+    for name, label, hist in (
+        ("init_alternating", "alternating", alt),
+        ("init_last_k", f"last-{k}", last),
+    ):
+        write_history_csv(EpochStats, hist.epochs, os.path.join(out, f"{name}.csv"))
         write_curve(history_curve(hist), os.path.join(out, f"{name}.dat"))
-    print(
-        f"alternating: final val loss {alt.final().val_total:.4f}, "
-        f"WER {alt.final().val_wer:.2f}%"
-    )
-    print(
-        f"last-{k}: final val loss {last.final().val_total:.4f}, "
-        f"WER {last.final().val_wer:.2f}%"
-    )
+        final = hist.final()
+        print(f"{label}: final val loss {final.val_total:.4f}, WER {final.val_wer:.2f}%")
     return 0
 
 

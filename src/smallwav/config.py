@@ -23,9 +23,11 @@ import ast
 import dataclasses
 
 from .bench import MIN_REPEATS
+from .ctc import min_frames
 from .data import SynthSpec, default_frequencies, generate_dataset
 from .distill import DistillConfig
 from .model import ConfigError, ModelConfig
+from .tensor import ShapeError
 
 _MODEL_KEYS = frozenset(f.name for f in dataclasses.fields(ModelConfig))
 _SPEC_KEYS = frozenset(f.name for f in dataclasses.fields(SynthSpec)) - {"boundary"}
@@ -156,14 +158,32 @@ def driver_value(cfg: dict, key: str):
 def experiment_datasets(cfg: dict, seed: int) -> tuple:
     """The standard three splits: train (seed), val (seed+1), eval (seed+2).
 
+    Checked against the config's model before any work: val and eval
+    are nonempty, every utterance fits the conv stack and max_frames,
+    and every train and val utterance has the frames CTC needs for its
+    transcript.  A ConfigError names the split, utterance and bound.
+
     Returns:
         (train, val, eval_set) lists of (waveform, transcript)
     """
+    sizes = {key: int(driver_value(cfg, key)) for key in ("val_utterances", "eval_utterances")}
+    for key, n in sizes.items():
+        if n < 1:
+            raise ConfigError(f"{key} must be >= 1, got {n}")
+    model_cfg = model_config_from(cfg)
     train = generate_dataset(synth_spec_from(cfg, seed))
-    val = generate_dataset(
-        synth_spec_from(cfg, seed + 1, n_utterances=int(driver_value(cfg, "val_utterances")))
-    )
-    eval_set = generate_dataset(
-        synth_spec_from(cfg, seed + 2, n_utterances=int(driver_value(cfg, "eval_utterances")))
-    )
+    val = generate_dataset(synth_spec_from(cfg, seed + 1, sizes["val_utterances"]))
+    eval_set = generate_dataset(synth_spec_from(cfg, seed + 2, sizes["eval_utterances"]))
+    for split, dataset in (("train", train), ("val", val), ("eval", eval_set)):
+        for i, (wave, transcript) in enumerate(dataset):
+            where = f"{split} utterance {i}"
+            try:
+                n = model_cfg.n_frames(wave.shape[0])
+            except ShapeError as exc:
+                raise ConfigError(f"{where}: {exc}") from None
+            if n > model_cfg.max_frames:
+                raise ConfigError(f"{where} needs {n} frames; max_frames is {model_cfg.max_frames}")
+            need = min_frames(transcript)
+            if split != "eval" and n < need:
+                raise ConfigError(f"{where}: CTC needs {need} frames, the conv stack gives {n}")
     return train, val, eval_set

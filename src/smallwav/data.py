@@ -59,6 +59,8 @@ class SynthSpec:
             raise ConfigError(f"bad word_len range {self.word_len}")
         if self.segment_len < 2:
             raise ConfigError("segment_len must be >= 2")
+        if self.noise_std < 0:
+            raise ConfigError(f"noise_std must be >= 0, got {self.noise_std}")
         if not self.frequencies:
             raise ConfigError("frequencies map must not be empty")
         nyquist = self.sample_rate / 2.0

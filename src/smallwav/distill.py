@@ -15,7 +15,7 @@ the teacher bit for bit yields a loss of exactly zero even in float32.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -238,17 +238,16 @@ class DistillHistory:
         return self.epochs[-1]
 
 
-HISTORY_COLUMNS = (
-    "epoch", "lr", "train_total", "train_distill", "train_feature", "val_total", "val_wer",
-)
+def write_history_csv(record, rows, path) -> None:
+    """The lab's one training-history writer: rows, each a record, to CSV.
 
-
-def write_history_csv(history: DistillHistory, path) -> None:
-    rows = [
-        [row.epoch] + [float(getattr(row, c)) for c in HISTORY_COLUMNS[1:]]
-        for row in history.epochs
-    ]
-    write_table(path, HISTORY_COLUMNS, rows)
+    record is the dataclass fit() built the rows as (EpochStats,
+    bench.TeacherEpoch); its field names, in order, are the header.
+    epoch is written as is and every other cell as float.
+    """
+    names = [f.name for f in fields(record)]
+    cells = [[row.epoch] + [float(getattr(row, n)) for n in names[1:]] for row in rows]
+    write_table(path, names, cells)
 
 
 def teacher_logits(teacher: AcousticModel, dataset) -> list:
@@ -283,7 +282,9 @@ def evaluate(model: AcousticModel, dataset, targets: list, loss) -> tuple:
     return float(np.mean(losses)), 100.0 * report.wer
 
 
-def fit(model: AcousticModel, n_items: int, cfg: DistillConfig, steps, loss, validate) -> tuple:
+def fit(
+    model: AcousticModel, n_items: int, cfg: DistillConfig, steps, loss, validate, record
+) -> tuple:
     """The lab's one training loop, for the CTC teacher and the student alike.
 
     Trains `model` in place for cfg.epochs.  Each epoch draws a fresh
@@ -291,14 +292,14 @@ def fit(model: AcousticModel, n_items: int, cfg: DistillConfig, steps, loss, val
     yields the items of that epoch's optimizer steps.  loss(model, item)
     returns a tuple of scalar Tensors: AdamW at the epoch's lr_at rate
     minimizes the first, and each is summed over the epoch's steps and
-    divided by n_items (>= 1) for the record.  validate(model) returns
-    (val_loss, val_wer); it runs before the first epoch and after each.
+    divided by n_items (>= 1).  validate(model) returns (val_loss,
+    val_wer); it runs before the first epoch and after each.  The
+    epoch's record is record(epoch, lr, *train means, val_loss, val_wer).
 
     Returns:
         (best, initial, rows): a copy of the model at its lowest
         validation loss, the untrained model counting; validate's
-        result before training; and one tuple (epoch, lr, *train means,
-        val_loss, val_wer) per epoch.
+        result before training; and one record per epoch.
     """
     params = model.params()
     state = init_adam_state(params)
@@ -317,7 +318,7 @@ def fit(model: AcousticModel, n_items: int, cfg: DistillConfig, steps, loss, val
             adamw_step(params, [p.grad for p in params], state, lr, cfg)
             sums += np.array([t.item() for t in terms])
         val = validate(model)
-        rows.append((epoch, lr, *(sums / n_items).tolist(), *val))
+        rows.append(record(epoch, lr, *(sums / n_items).tolist(), *val))
         if val[0] < best[0]:
             best = (val[0], model.copy())
     return best[1], initial, rows
@@ -364,5 +365,6 @@ def distill(
         lambda model: evaluate(
             model, val_set, val_targets, lambda s, c, t: objective(t, s, c, cfg).total
         ),
+        EpochStats,
     )
-    return best, DistillHistory(*initial, [EpochStats(*row) for row in rows])
+    return best, DistillHistory(*initial, rows)

@@ -8,11 +8,11 @@ import pytest
 from smallwav import bench
 from smallwav.bench import (
     BenchReport,
+    TeacherEpoch,
     _teacher_steps,
     emit_report,
     eval_wer,
     history_curve,
-    measure_inference,
     measure_inference_all,
     read_report,
     run_compression_bench,
@@ -21,14 +21,13 @@ from smallwav.bench import (
     run_tradeoff_sweep,
     train_teacher,
     write_curve,
-    write_teacher_history_csv,
 )
 from smallwav.ctc import ctc_loss
 from smallwav.data import SynthSpec, generate_dataset
 from smallwav.decode import best_path_decode, wer
 from smallwav.distill import (
     DistillConfig,
-    DistillHistory,
+    EpochStats,
     evaluate,
     lr_at,
     objective,
@@ -111,8 +110,8 @@ def test_report_io_errors_name_the_path(tmp_path):
     missing_dir = tmp_path / "nope" / "r.csv"
     writers = [
         lambda p: emit_report([], p),
-        lambda p: write_teacher_history_csv([], p),
-        lambda p: write_history_csv(DistillHistory(1.0, 50.0), p),
+        lambda p: write_history_csv(TeacherEpoch, [], p),
+        lambda p: write_history_csv(EpochStats, [], p),
         lambda p: write_report_csv(PruneReport(rows=()), p),
         # the data_summary.csv write of `smallwav exp-data`
         lambda p: write_table(p, ("size", "final_val_total", "final_val_wer"), []),
@@ -124,6 +123,36 @@ def test_report_io_errors_name_the_path(tmp_path):
         read_report(tmp_path / "gone.csv")
     with pytest.raises(OSError, match="cannot read .*gone.csv"):
         read_table(tmp_path / "gone.csv", ("size",))
+
+
+def test_teacher_history_csv_roundtrip(tmp_path):
+    history = [
+        TeacherEpoch(0, 1e-4, 12.5, np.float32(0.1), 100.0),
+        TeacherEpoch(1, 5e-4, 3.125, 2.75, 37.5),
+    ]
+    path = tmp_path / "teacher_history.csv"
+    write_history_csv(TeacherEpoch, history, path)
+    assert path.read_text() == (
+        "epoch,lr,train_loss,val_loss,val_wer\n"
+        "0,0.0001,12.5,0.10000000149011612,100.0\n"
+        "1,0.0005,3.125,2.75,37.5\n"
+    )
+    rows = read_table(path, ("epoch", "lr", "train_loss", "val_loss", "val_wer"))
+    assert [TeacherEpoch(int(r[0]), *map(float, r[1:])) for r in rows] == history
+
+
+@pytest.mark.parametrize(
+    "record, header",
+    [
+        (TeacherEpoch, "epoch,lr,train_loss,val_loss,val_wer"),
+        (EpochStats, "epoch,lr,train_total,train_distill,train_feature,val_total,val_wer"),
+    ],
+    ids=["teacher", "student"],
+)
+def test_an_empty_history_is_header_only(tmp_path, record, header):
+    path = tmp_path / "history.csv"
+    write_history_csv(record, [], path)
+    assert path.read_text() == header + "\n"
 
 
 def test_foreign_csv_is_rejected(tmp_path):
@@ -139,11 +168,11 @@ def test_foreign_csv_is_rejected(tmp_path):
 
 def test_measure_inference_needs_three_repeats(teacher, tiny_sets):
     with pytest.raises(ConfigError):
-        measure_inference(teacher, tiny_sets[2], repeats=2)
+        measure_inference_all([teacher], tiny_sets[2], repeats=2)
 
 
 def test_empty_eval_set_times_at_zero(teacher):
-    assert measure_inference(teacher, [], repeats=3) < 1e-3
+    assert measure_inference_all([teacher], [], repeats=3)[0] < 1e-3
 
 
 def test_medians_are_stable_across_repeat_counts():
@@ -166,10 +195,10 @@ def test_medians_are_stable_across_repeat_counts():
     # 1.5 s, average that out.
     t3, t5 = [], []
     for _ in range(8):
-        t3.append(measure_inference(model, eval_set, repeats=3))
-        t5.append(measure_inference(model, eval_set, repeats=5))
-        t5.append(measure_inference(model, eval_set, repeats=5))
-        t3.append(measure_inference(model, eval_set, repeats=3))
+        t3.append(measure_inference_all([model], eval_set, repeats=3)[0])
+        t5.append(measure_inference_all([model], eval_set, repeats=5)[0])
+        t5.append(measure_inference_all([model], eval_set, repeats=5)[0])
+        t3.append(measure_inference_all([model], eval_set, repeats=3)[0])
     t3, t5 = float(np.mean(t3)), float(np.mean(t5))
     assert abs(t3 - t5) / min(t3, t5) < 0.20
 

@@ -287,6 +287,33 @@ def test_tones_that_reach_the_boundary_fail_before_training(
 
 
 @pytest.mark.parametrize(
+    "extra, message",
+    [
+        ("val_utterances = 0", "val_utterances must be >= 1, got 0"),
+        ("eval_utterances = 0", "eval_utterances must be >= 1, got 0"),
+        ("max_frames = 10", "train utterance 0 needs 38 frames; max_frames is 10"),
+        ("segment_len = 2", "train utterance 0: waveform of 4 samples too short for conv"),
+        ("segment_len = 6", "train utterance 0: CTC needs 2 frames, the conv stack gives 1"),
+    ],
+    ids=["no val", "no eval", "past max_frames", "short for the conv", "short for CTC"],
+)
+def test_data_the_model_cannot_train_on_fails_before_any_work(
+    tiny_cfg, tmp_path, capsys, monkeypatch, extra, message
+):
+    path = tmp_path / "data.cfg"
+    path.write_text(open(tiny_cfg).read() + extra + "\n")
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started before the data was checked")
+
+    monkeypatch.setattr(cli, "train_teacher", no_training)
+    out = tmp_path / "run"
+    assert main(["train-teacher", "--config", str(path), "--out", str(out)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["distill"],

@@ -90,6 +90,12 @@ def test_spec_validation():
         SynthSpec(segment_len=1)
 
 
+def test_a_negative_noise_std_is_rejected():
+    with pytest.raises(ConfigError, match="noise_std must be >= 0, got -0.5"):
+        SynthSpec(noise_std=-0.5)
+    assert SynthSpec(noise_std=0.0).noise_std == 0.0
+
+
 def test_default_frequencies_shape():
     freqs = default_frequencies()
     assert sorted(freqs) == list(range(1, 11))

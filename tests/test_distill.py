@@ -1,3 +1,4 @@
+from dataclasses import fields
 from functools import reduce
 
 import numpy as np
@@ -11,7 +12,6 @@ from smallwav.distill import (
     DistillConfig,
     EpochStats,
     DistillHistory,
-    HISTORY_COLUMNS,
     ProbSeq,
     adamw_step,
     distill,
@@ -32,6 +32,7 @@ from smallwav.tensor import Tensor, add, square, tsum
 from helpers import close, fd_check
 
 LN2 = float(np.log(2.0))
+HISTORY_COLUMNS = [f.name for f in fields(EpochStats)]
 
 
 def dirichlet_rows(rng, n, m):
@@ -352,7 +353,7 @@ def test_fit_validates_every_epoch_averages_per_item_and_keeps_the_best_snapshot
         assert sorted(order) == [0, 1, 2]
         return [order[:2], order[2:]]  # two steps over three items, as joins do
 
-    best, initial, rows = fit(model, 3, cfg, steps, loss, validate)
+    best, initial, rows = fit(model, 3, cfg, steps, loss, validate, lambda *row: row)
     assert len(seen) == cfg.epochs + 1
     assert initial == (5.0, 10.0)
     assert [r[0] for r in rows] == list(range(cfg.epochs))
@@ -480,7 +481,7 @@ def test_history_csv_roundtrip(tmp_path):
         EpochStats(1, 2.5e-4, 0.5, 0.375, 0.125, 0.4375, 12.5),
     ]
     path = tmp_path / "history.csv"
-    write_history_csv(history, path)
+    write_history_csv(EpochStats, history.epochs, path)
     first = path.read_text().splitlines()[0]
     assert first == "epoch,lr,train_total,train_distill,train_feature,val_total,val_wer"
     rows = read_table(path, HISTORY_COLUMNS)
