@@ -40,7 +40,7 @@ rows = run_compression_bench(
 )
 print(f"{'model':>10} {'layers':>6} {'params':>8} {'bytes':>8} {'ms':>7} {'WER%':>7}")
 for r in rows:
-    print(f"{r.model:>10} {r.layers:>6} {r.params:>8} {r.size_bytes:>8} "
+    print(f"{r.model:>10} {r.layers:>6} {r.params:>8} {r.bytes:>8} "
           f"{r.cpu_s * 1e3:>7.1f} {r.wer:>7.2f}")
 
 print()

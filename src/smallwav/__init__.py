@@ -7,7 +7,6 @@ then quantize or prune the result and measure what that cost.
 
 from .bench import (
     BenchReport,
-    emit_report,
     eval_wer,
     read_report,
     run_compression_bench,
@@ -67,7 +66,6 @@ __all__ = [
     "default_sensitivity_map",
     "distill",
     "edit_distance",
-    "emit_report",
     "eval_wer",
     "generate_dataset",
     "init_student",

@@ -2,7 +2,7 @@
 
 Everything here composes the other modules into runnable studies: train
 a CTC teacher on the synthetic task, distill students at several depths,
-time and size each model, and emit CSV/plot-data artifacts.  Runs are
+time and size each model, and emit plot-data artifacts.  Runs are
 deterministic in their seeds except for the wall-clock columns.
 
 Every timing goes through measure_inference_all, which pins the method.
@@ -28,9 +28,7 @@ from .model import (
     sinusoidal_positions,
 )
 from .quantize import model_size_bytes, prepack, quantize_model
-from .table import read_table, write_table, write_text
-
-REPORT_COLUMNS = ("model", "layers", "params", "bytes", "cpu_s", "wer")
+from .table import read_table, record_header, write_text
 
 # First epoch of the length curriculum that trains on joined pairs.  Joins
 # wait until a fresh model has left the all-blank plateau, which the lab's
@@ -53,22 +51,22 @@ MIN_REPEATS = 3
 
 @dataclass(frozen=True)
 class BenchReport:
-    """One row of the size/latency/accuracy table.
+    """One row of the size/latency/accuracy table (bench.csv, sweep.csv).
 
-    wer is in percent; cpu_s is the median eval-set wall clock from
-    measure_inference_all and the only field that varies between
-    identically seeded runs.
+    bytes is the serialized checkpoint size and wer is in percent; cpu_s
+    is the median eval-set wall clock from measure_inference_all and the
+    only field that varies between identically seeded runs.
     """
 
     model: str
     layers: int
     params: int
-    size_bytes: int
+    bytes: int
     cpu_s: float
     wer: float
 
     def __post_init__(self):
-        for field in ("layers", "params", "size_bytes", "cpu_s", "wer"):
+        for field in ("layers", "params", "bytes", "cpu_s", "wer"):
             if getattr(self, field) < 0:
                 raise ConfigError(f"BenchReport.{field} must be nonnegative")
 
@@ -260,7 +258,7 @@ def _report_rows(named_models, eval_set, repeats) -> list:
                 model=name,
                 layers=model.config.n_transformer_layers,
                 params=count_params(model.config),
-                size_bytes=model_size_bytes(model),
+                bytes=model_size_bytes(model),
                 cpu_s=cpu_s,
                 wer=eval_wer(model, eval_set),
             )
@@ -323,20 +321,11 @@ def run_data_experiment(
 # report and plot-data emission
 
 
-def emit_report(reports, path) -> None:
-    """Write BenchReports as CSV with the fixed six-column header."""
-    rows = [
-        (r.model, r.layers, r.params, r.size_bytes, float(r.cpu_s), float(r.wer))
-        for r in reports
-    ]
-    write_table(path, REPORT_COLUMNS, rows)
-
-
 def read_report(path) -> list:
-    """Parse emit_report output back into BenchReport records."""
+    """Parse a table that table.write_records wrote from BenchReports."""
     return [
         BenchReport(model, int(layers), int(params), int(nbytes), float(cpu_s), float(w))
-        for model, layers, params, nbytes, cpu_s, w in read_table(path, REPORT_COLUMNS)
+        for model, layers, params, nbytes, cpu_s, w in read_table(path, record_header(BenchReport))
     ]
 
 

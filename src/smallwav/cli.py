@@ -14,8 +14,8 @@ import os
 import sys
 
 from .bench import (
+    BenchReport,
     TeacherEpoch,
-    emit_report,
     eval_wer,
     history_curve,
     run_compression_bench,
@@ -29,6 +29,7 @@ from .config import (
     distill_config_from,
     driver_value,
     effective_seed,
+    eval_split,
     experiment_datasets,
     model_config_from,
     parse_config,
@@ -37,7 +38,7 @@ from .config import (
 )
 from .data import save_dataset
 from .decode import best_path_decode, token_error_rate, wer, write_transcripts
-from .distill import EpochStats, distill, write_history_csv
+from .distill import EpochStats, distill
 from .model import (
     CheckpointError,
     ConfigError,
@@ -47,12 +48,7 @@ from .model import (
     load_model,
     save_model,
 )
-from .prune import (
-    SensitivityMap,
-    default_sensitivity_map,
-    prune_model,
-    write_report_csv,
-)
+from .prune import PruneRow, SensitivityMap, default_sensitivity_map, prune_model
 from .quantize import (
     QMAGIC,
     load_quantized_model,
@@ -61,7 +57,7 @@ from .quantize import (
     quantize_model,
     save_quantized_model,
 )
-from .table import write_table
+from .table import write_records, write_table
 
 
 def _int_list(text: str) -> list:
@@ -213,7 +209,7 @@ def cmd_train_teacher(args) -> int:
     teacher_cfg = teacher_config_from(cfg, seed)
     model, history = train_teacher(train, val, model_cfg, teacher_cfg)
     save_model(model, os.path.join(out, "teacher.swav"))
-    write_history_csv(TeacherEpoch, history, os.path.join(out, "teacher_history.csv"))
+    write_records(os.path.join(out, "teacher_history.csv"), TeacherEpoch, history)
     final = history[-1]
     print(
         f"teacher: {model.count_params()} params, "
@@ -241,10 +237,10 @@ def cmd_distill(args) -> int:
     if args.layers is None and args.select != "explicit":
         args.layers = int(driver_value(cfg, "student_layers"))
     student = init_student(teacher, _selection(args))
-    train, val, eval_set = experiment_datasets(cfg, seed)
+    train, val, eval_set = experiment_datasets(cfg, seed, teacher)
     best, history = distill(teacher, student, train, val, distill_config_from(cfg, seed))
     save_model(best, os.path.join(out, "student.swav"))
-    write_history_csv(EpochStats, history.epochs, os.path.join(out, "history.csv"))
+    write_records(os.path.join(out, "history.csv"), EpochStats, history.epochs)
     final = history.final()
     print(
         f"student: {best.config.n_transformer_layers} layers, "
@@ -268,15 +264,15 @@ def cmd_quantize(args) -> int:
 def cmd_prune(args) -> int:
     cfg, seed, out = _setup(args)
     model = _in_layout(load_model(_path(out, "student.swav", args.model)), cfg)
+    eval_set = eval_split(cfg, seed, model)
     if args.sensitivity or args.default_sensitivity is not None:
         smap = SensitivityMap(args.sensitivity, default=args.default_sensitivity)
     else:
         smap = default_sensitivity_map(model.config)
     pruned, report = prune_model(model, smap)
     save_model(pruned, os.path.join(out, "pruned.swav"))
-    write_report_csv(report, os.path.join(out, "sparsity.csv"))
+    write_records(os.path.join(out, "sparsity.csv"), PruneRow, report.rows)
     print(f"global sparsity {100.0 * report.global_sparsity:.1f}%")
-    _, _, eval_set = experiment_datasets(cfg, seed)
     print(f"eval WER {eval_wer(pruned, eval_set):.2f}%")
     return 0
 
@@ -295,7 +291,7 @@ def _load_any(path):
 def cmd_eval(args) -> int:
     cfg, seed, out = _setup(args)
     model = _in_layout(_load_any(_path(out, "student.swav", args.model)), cfg)
-    _, _, eval_set = experiment_datasets(cfg, seed)
+    eval_set = eval_split(cfg, seed, model)
     boundary = model.config.boundary
     refs = [list(t) for _, t in eval_set]
     hyps = [best_path_decode(model.infer(w)) for w, _ in eval_set]
@@ -321,11 +317,11 @@ def cmd_bench(args) -> int:
     reports = run_compression_bench(
         teacher, student_cfg, layers, train, val, eval_set, repeats=repeats
     )
-    emit_report(reports, os.path.join(out, "bench.csv"))
+    write_records(os.path.join(out, "bench.csv"), BenchReport, reports)
     for r in reports:
         print(
             f"{r.model:>9}: {r.layers} layers, {r.params} params, "
-            f"{r.size_bytes} bytes, {r.cpu_s * 1e3:.1f} ms, WER {r.wer:.2f}%"
+            f"{r.bytes} bytes, {r.cpu_s * 1e3:.1f} ms, WER {r.wer:.2f}%"
         )
     return 0
 
@@ -337,11 +333,11 @@ def cmd_sweep_layers(args) -> int:
     teacher = _load_teacher(cfg, out, args.teacher)
     depth = teacher.config.n_transformer_layers
     counts = args.layers or list(range(1, depth + 1))
-    train, val, eval_set = experiment_datasets(cfg, seed)
+    train, val, eval_set = experiment_datasets(cfg, seed, teacher)
     reports = run_tradeoff_sweep(
         teacher, counts, student_cfg, train, val, eval_set, repeats=repeats
     )
-    emit_report(reports, os.path.join(out, "sweep.csv"))
+    write_records(os.path.join(out, "sweep.csv"), BenchReport, reports)
     students = [r for r in reports if r.model != "teacher"]
     write_curve([(r.layers, r.cpu_s) for r in students], os.path.join(out, "sweep_time.dat"))
     write_curve([(r.layers, r.wer) for r in students], os.path.join(out, "sweep_wer.dat"))
@@ -355,13 +351,13 @@ def cmd_exp_init(args) -> int:
     teacher = _load_teacher(cfg, out, args.teacher)
     depth = teacher.config.n_transformer_layers
     k = args.k if args.k is not None else min(int(driver_value(cfg, "student_layers")), depth - 1)
-    train, val, _ = experiment_datasets(cfg, seed)
+    train, val, _ = experiment_datasets(cfg, seed, teacher)
     alt, last = run_init_experiment(teacher, k, distill_config_from(cfg, seed), train, val)
     for name, label, hist in (
         ("init_alternating", "alternating", alt),
         ("init_last_k", f"last-{k}", last),
     ):
-        write_history_csv(EpochStats, hist.epochs, os.path.join(out, f"{name}.csv"))
+        write_records(os.path.join(out, f"{name}.csv"), EpochStats, hist.epochs)
         write_curve(history_curve(hist), os.path.join(out, f"{name}.dat"))
         final = hist.final()
         print(f"{label}: final val loss {final.val_total:.4f}, WER {final.val_wer:.2f}%")
@@ -372,7 +368,7 @@ def cmd_exp_data(args) -> int:
     cfg, seed, out = _setup(args)
     teacher = _load_teacher(cfg, out, args.teacher)
     k = args.k if args.k is not None else int(driver_value(cfg, "student_layers"))
-    train, val, _ = experiment_datasets(cfg, seed)
+    train, val, _ = experiment_datasets(cfg, seed, teacher)
     n = len(train)
     sizes = args.sizes or sorted({max(1, n // 4), max(1, n // 2), n})
     results = run_data_experiment(teacher, k, sizes, distill_config_from(cfg, seed), train, val)

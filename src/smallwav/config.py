@@ -155,35 +155,49 @@ def driver_value(cfg: dict, key: str):
     return cfg.get(key, DRIVER_DEFAULTS[key])
 
 
-def experiment_datasets(cfg: dict, seed: int) -> tuple:
+def experiment_datasets(cfg: dict, seed: int, model=None) -> tuple:
     """The standard three splits: train (seed), val (seed+1), eval (seed+2).
 
-    Checked against the config's model before any work: val and eval
-    are nonempty, every utterance fits the conv stack and max_frames,
-    and every train and val utterance has the frames CTC needs for its
+    Checked before any work against the model the run goes on with,
+    the loaded one if given, else the config's: val and eval are
+    nonempty, every utterance fits the conv stack and max_frames, and
+    every train and val utterance has the frames CTC needs for its
     transcript.  A ConfigError names the split, utterance and bound.
 
     Returns:
         (train, val, eval_set) lists of (waveform, transcript)
     """
-    sizes = {key: int(driver_value(cfg, key)) for key in ("val_utterances", "eval_utterances")}
-    for key, n in sizes.items():
-        if n < 1:
-            raise ConfigError(f"{key} must be >= 1, got {n}")
-    model_cfg = model_config_from(cfg)
-    train = generate_dataset(synth_spec_from(cfg, seed))
-    val = generate_dataset(synth_spec_from(cfg, seed + 1, sizes["val_utterances"]))
-    eval_set = generate_dataset(synth_spec_from(cfg, seed + 2, sizes["eval_utterances"]))
-    for split, dataset in (("train", train), ("val", val), ("eval", eval_set)):
-        for i, (wave, transcript) in enumerate(dataset):
-            where = f"{split} utterance {i}"
-            try:
-                n = model_cfg.n_frames(wave.shape[0])
-            except ShapeError as exc:
-                raise ConfigError(f"{where}: {exc}") from None
-            if n > model_cfg.max_frames:
-                raise ConfigError(f"{where} needs {n} frames; max_frames is {model_cfg.max_frames}")
-            need = min_frames(transcript)
-            if split != "eval" and n < need:
-                raise ConfigError(f"{where}: CTC needs {need} frames, the conv stack gives {n}")
-    return train, val, eval_set
+    n_val, n_eval = (_split_size(cfg, key) for key in ("val_utterances", "eval_utterances"))
+    model_cfg = model.config if model is not None else model_config_from(cfg)
+    train = _fitting(model_cfg, "train", synth_spec_from(cfg, seed))
+    val = _fitting(model_cfg, "val", synth_spec_from(cfg, seed + 1, n_val))
+    return train, val, _fitting(model_cfg, "eval", synth_spec_from(cfg, seed + 2, n_eval))
+
+
+def eval_split(cfg: dict, seed: int, model) -> list:
+    """The eval split alone, checked against the loaded model that scores it."""
+    n_eval = _split_size(cfg, "eval_utterances")
+    return _fitting(model.config, "eval", synth_spec_from(cfg, seed + 2, n_eval))
+
+
+def _split_size(cfg: dict, key: str) -> int:
+    n = int(driver_value(cfg, key))
+    if n < 1:
+        raise ConfigError(f"{key} must be >= 1, got {n}")
+    return n
+
+
+def _fitting(model_cfg: ModelConfig, split: str, spec: SynthSpec) -> list:
+    dataset = generate_dataset(spec)
+    for i, (wave, transcript) in enumerate(dataset):
+        where = f"{split} utterance {i}"
+        try:
+            n = model_cfg.n_frames(wave.shape[0])
+        except ShapeError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
+        if n > model_cfg.max_frames:
+            raise ConfigError(f"{where} needs {n} frames; max_frames is {model_cfg.max_frames}")
+        need = min_frames(transcript)
+        if split != "eval" and n < need:
+            raise ConfigError(f"{where}: CTC needs {need} frames, the conv stack gives {n}")
+    return dataset

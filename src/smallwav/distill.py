@@ -15,13 +15,12 @@ the teacher bit for bit yields a loss of exactly zero even in float32.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .decode import best_path_decode, wer
 from .model import AcousticModel, ConfigError
-from .table import write_table
 from .tensor import (
     Rng, Tensor, add, clamp_min, mul, no_grad, softmax, square, sub, tlog, tmean, tsum,
 )
@@ -236,18 +235,6 @@ class DistillHistory:
         if not self.epochs:
             raise ValueError("history has no trained epochs")
         return self.epochs[-1]
-
-
-def write_history_csv(record, rows, path) -> None:
-    """The lab's one training-history writer: rows, each a record, to CSV.
-
-    record is the dataclass fit() built the rows as (EpochStats,
-    bench.TeacherEpoch); its field names, in order, are the header.
-    epoch is written as is and every other cell as float.
-    """
-    names = [f.name for f in fields(record)]
-    cells = [[row.epoch] + [float(getattr(row, n)) for n in names[1:]] for row in rows]
-    write_table(path, names, cells)
 
 
 def teacher_logits(teacher: AcousticModel, dataset) -> list:

@@ -420,7 +420,9 @@ def _read_checkpoint(path, magic: bytes, file_bytes, moved=None) -> tuple:
     """Parse a file of _write_checkpoint's, file_bytes(config) bytes long.
 
     moved(config), if given, names the parts stored in the records, not
-    the float section.  Returns (config, float32 arrays by name, records).
+    the float section.  A float part holding nan or inf is a
+    CheckpointError naming it.  Returns (config, float32 arrays by name,
+    records).
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -438,6 +440,8 @@ def _read_checkpoint(path, magic: bytes, file_bytes, moved=None) -> tuple:
             continue
         n = math.prod(shape)
         flat = np.frombuffer(raw, dtype="<f4", count=n, offset=offset)
+        if not np.isfinite(flat).all():
+            raise CheckpointError(f"{name}: holds nan or inf")
         arrays[name] = flat.reshape(shape).astype(np.float32, copy=True)
         offset += 4 * n
     return config, arrays, raw[offset:]

@@ -14,15 +14,12 @@ gets stored sparse and nothing runs faster because of it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
 
 import numpy as np
 
 from .model import AcousticModel, ConfigError, ModelConfig, linear_weight_names
-from .table import write_table
-
-REPORT_COLUMNS = ("layer", "group", "sensitivity", "threshold", "pruned", "total", "sparsity")
 
 
 def prunable_names(config: ModelConfig) -> list:
@@ -112,7 +109,10 @@ def prune_layer(w, sensitivity: float) -> tuple:
 
 @dataclass(frozen=True)
 class PruneRow:
-    """One layer's line in a sparsity report."""
+    """One layer's line in a sparsity report (sparsity.csv).
+
+    sparsity is set from the other fields: pruned / total.
+    """
 
     layer: str
     group: str
@@ -120,10 +120,10 @@ class PruneRow:
     threshold: float
     pruned: int
     total: int
+    sparsity: float = field(init=False)
 
-    @property
-    def sparsity(self) -> float:
-        return self.pruned / self.total
+    def __post_init__(self):
+        object.__setattr__(self, "sparsity", self.pruned / self.total)
 
 
 @dataclass(frozen=True)
@@ -176,16 +176,3 @@ def sparsity(model: AcousticModel) -> float:
         zeros += int((data == 0).sum())
         total += data.size
     return zeros / total
-
-
-# ---------------------------------------------------------------------------
-# report CSV (docs/formats.md)
-
-
-def write_report_csv(report: PruneReport, path) -> None:
-    rows = [
-        (r.layer, r.group, float(r.sensitivity), float(r.threshold), r.pruned, r.total,
-         float(r.sparsity))
-        for r in report.rows
-    ]
-    write_table(path, REPORT_COLUMNS, rows)

@@ -350,5 +350,8 @@ def load_quantized_model(path) -> QuantizedModel:
         n = math.prod(shape)
         w_q = np.frombuffer(records, dtype=np.int8, count=n, offset=cursor).reshape(shape).copy()
         cursor += n
+        # FLOAT32_CARRY_MAX_K holds only while every code is within +-127.
+        if (w_q == -128).any():
+            raise CheckpointError(f"{name}: weight code -128 outside [-127, 127]")
         params[name] = QuantizedLinear(w_q, QuantParams(scale=float(scale), zero_point=int(zp)))
     return QuantizedModel(config, params)

@@ -10,7 +10,6 @@ from smallwav.bench import (
     BenchReport,
     TeacherEpoch,
     _teacher_steps,
-    emit_report,
     eval_wer,
     history_curve,
     measure_inference_all,
@@ -32,7 +31,6 @@ from smallwav.distill import (
     lr_at,
     objective,
     teacher_logits,
-    write_history_csv,
 )
 from smallwav.model import (
     AcousticModel,
@@ -41,9 +39,9 @@ from smallwav.model import (
     checkpoint_bytes,
     count_params,
 )
-from smallwav.prune import PruneReport, write_report_csv
+from smallwav.prune import PruneRow
 from smallwav.quantize import quantized_checkpoint_bytes
-from smallwav.table import read_table, write_table
+from smallwav.table import read_table, write_records, write_table
 
 SMALL_CFG = ModelConfig(
     conv_layers=((8, 6, 2), (16, 4, 2)),
@@ -93,7 +91,7 @@ def test_report_roundtrips_through_csv(tmp_path):
         BenchReport("student-2", 2, 60, 500, 0.125, 3.25),
     ]
     path = tmp_path / "r.csv"
-    emit_report(reports, path)
+    write_records(path, BenchReport, reports)
     lines = path.read_text().splitlines()
     assert lines[0] == "model,layers,params,bytes,cpu_s,wer"
     assert read_report(path) == reports
@@ -101,18 +99,55 @@ def test_report_roundtrips_through_csv(tmp_path):
 
 def test_empty_report_is_header_only(tmp_path):
     path = tmp_path / "empty.csv"
-    emit_report([], path)
+    write_records(path, BenchReport, [])
     assert path.read_text() == "model,layers,params,bytes,cpu_s,wer\n"
     assert read_report(path) == []
+
+
+F32 = np.float32(0.1)
+
+
+@pytest.mark.parametrize(
+    "record, numpy_row, python_row",
+    [
+        (
+            BenchReport,
+            BenchReport("m", np.int64(2), 60, 500, np.float64(0.125), F32),
+            BenchReport("m", 2, 60, 500, 0.125, float(F32)),
+        ),
+        (
+            TeacherEpoch,
+            TeacherEpoch(0, np.float64(1e-4), F32, np.float64(2.75), 37.5),
+            TeacherEpoch(0, 1e-4, float(F32), 2.75, 37.5),
+        ),
+        (
+            PruneRow,
+            PruneRow("head.w", "default", np.float64(0.3), F32, np.int64(3), 8),
+            PruneRow("head.w", "default", 0.3, float(F32), 3, 8),
+        ),
+    ],
+    ids=["bench", "teacher", "sparsity"],
+)
+def test_numpy_floats_write_the_bytes_of_python_floats(tmp_path, record, numpy_row, python_row):
+    # csv writes a float subclass with repr, which is "np.float64(0.125)"
+    # under numpy 2, so every float field must go out as a Python float.
+    written = []
+    for name, row in (("numpy", numpy_row), ("python", python_row)):
+        path = tmp_path / f"{name}.csv"
+        write_records(path, record, [row])
+        written.append(path.read_bytes())
+    assert written[0] == written[1]
+    assert b"np." not in written[0]
+    assert b"0.10000000149011612" in written[0]
 
 
 def test_report_io_errors_name_the_path(tmp_path):
     missing_dir = tmp_path / "nope" / "r.csv"
     writers = [
-        lambda p: emit_report([], p),
-        lambda p: write_history_csv(TeacherEpoch, [], p),
-        lambda p: write_history_csv(EpochStats, [], p),
-        lambda p: write_report_csv(PruneReport(rows=()), p),
+        lambda p: write_records(p, BenchReport, []),
+        lambda p: write_records(p, TeacherEpoch, []),
+        lambda p: write_records(p, EpochStats, []),
+        lambda p: write_records(p, PruneRow, []),
         # the data_summary.csv write of `smallwav exp-data`
         lambda p: write_table(p, ("size", "final_val_total", "final_val_wer"), []),
     ]
@@ -131,7 +166,7 @@ def test_teacher_history_csv_roundtrip(tmp_path):
         TeacherEpoch(1, 5e-4, 3.125, 2.75, 37.5),
     ]
     path = tmp_path / "teacher_history.csv"
-    write_history_csv(TeacherEpoch, history, path)
+    write_records(path, TeacherEpoch, history)
     assert path.read_text() == (
         "epoch,lr,train_loss,val_loss,val_wer\n"
         "0,0.0001,12.5,0.10000000149011612,100.0\n"
@@ -151,7 +186,7 @@ def test_teacher_history_csv_roundtrip(tmp_path):
 )
 def test_an_empty_history_is_header_only(tmp_path, record, header):
     path = tmp_path / "history.csv"
-    write_history_csv(record, [], path)
+    write_records(path, record, [])
     assert path.read_text() == header + "\n"
 
 
@@ -327,7 +362,7 @@ def test_sweep_reports_teacher_plus_one_row_per_count(teacher, tiny_sets):
             ffn_dim=SMALL_CFG.ffn_dim,
         )
         assert r.params == count_params(cfg)
-        assert r.size_bytes == checkpoint_bytes(cfg)
+        assert r.bytes == checkpoint_bytes(cfg)
         assert r.cpu_s > 0
 
 
@@ -403,8 +438,8 @@ def test_compression_bench_emits_exactly_three_rows(teacher, tiny_sets):
     assert original.params == count_params(SMALL_CFG)
     assert distilled.params == quantized.params
     assert distilled.layers == quantized.layers == 1
-    assert quantized.size_bytes < distilled.size_bytes
-    assert quantized.size_bytes == quantized_checkpoint_bytes(
+    assert quantized.bytes < distilled.bytes
+    assert quantized.bytes == quantized_checkpoint_bytes(
         ModelConfig(
             conv_layers=SMALL_CFG.conv_layers,
             d_model=SMALL_CFG.d_model,

@@ -16,9 +16,10 @@ from smallwav.config import (
 )
 from smallwav.data import SynthSpec, generate_dataset, load_dataset
 from smallwav.model import AcousticModel, ConfigError, load_model, save_model
-from smallwav.prune import REPORT_COLUMNS
 from smallwav.quantize import quantize_model, save_quantized_model
 from smallwav.table import read_table
+
+SPARSITY_COLUMNS = ("layer", "group", "sensitivity", "threshold", "pruned", "total", "sparsity")
 
 TINY_CFG_TEXT = """
 # micro model, micro run
@@ -159,19 +160,23 @@ def test_workflow_train_distill_quantize_prune_eval(tiny_cfg, tmp_path, capsys):
     assert main(["sweep-layers", "--config", tiny_cfg, "--out", out, "--layers", "1"]) == 0
     assert main(["exp-init", "--config", tiny_cfg, "--out", out, "--k", "1"]) == 0
     assert main(["exp-data", "--config", tiny_cfg, "--out", out, "--sizes", "2"]) == 0
+    student_history = "epoch,lr,train_total,train_distill,train_feature,val_total,val_wer"
+    headers = {
+        "data_summary.csv": "size,final_val_total,final_val_wer",
+        "history.csv": student_history,
+        "init_alternating.csv": student_history,
+        "init_last_k.csv": student_history,
+        "sparsity.csv": ",".join(SPARSITY_COLUMNS),
+        "sweep.csv": "model,layers,params,bytes,cpu_s,wer",
+        "teacher_history.csv": "epoch,lr,train_loss,val_loss,val_wer",
+    }
     tables = sorted(f for f in os.listdir(out) if f.endswith(".csv"))
-    assert tables == [
-        "data_summary.csv",
-        "history.csv",
-        "init_alternating.csv",
-        "init_last_k.csv",
-        "sparsity.csv",
-        "sweep.csv",
-        "teacher_history.csv",
-    ]
+    assert tables == sorted(headers)
     for name in tables:
         with open(os.path.join(out, name), "rb") as fh:
-            assert b"\r" not in fh.read(), name
+            text = fh.read()
+        assert b"\r" not in text, name
+        assert text.decode().split("\n")[0] == headers[name], name
 
 
 def test_prune_reports_a_pattern_that_holds_a_comma(tiny_cfg, tmp_path):
@@ -183,8 +188,8 @@ def test_prune_reports_a_pattern_that_holds_a_comma(tiny_cfg, tmp_path):
     save_model(AcousticModel.init(model_config_from(parse_config(tiny_cfg)), seed=0), model_path)
     args = ["--sensitivity", "layer[0,1].wq=0.3", "--default-sensitivity", "0"]
     assert main(["prune", "--config", tiny_cfg, "--out", str(out), "--model", model_path] + args) == 0
-    rows = read_table(out / "sparsity.csv", REPORT_COLUMNS)
-    assert all(len(r) == len(REPORT_COLUMNS) for r in rows)
+    rows = read_table(out / "sparsity.csv", SPARSITY_COLUMNS)
+    assert all(len(r) == len(SPARSITY_COLUMNS) for r in rows)
     picked = [(r[0], r[2]) for r in rows if r[1] == "layer[0,1].wq"]
     assert picked == [("layer0.wq", "0.3"), ("layer1.wq", "0.3")]
 
@@ -341,11 +346,93 @@ def test_a_checkpoint_in_another_token_layout_fails_before_any_work(
         raise AssertionError("data was built before the token layouts were compared")
 
     monkeypatch.setattr(cli, "experiment_datasets", no_data)
+    monkeypatch.setattr(cli, "eval_split", no_data)
     assert main(argv + ["--config", tiny_cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "checkpoint has n_tokens = 13" in err
     assert "config builds data with n_tokens = 12" in err
     assert sorted(os.listdir(out)) == ["model.swq8", "student.swav", "teacher.swav"]
+
+
+@pytest.mark.parametrize(
+    "argv, split, frames",
+    [
+        (["distill"], "train", 38),
+        (["prune"], "eval", 78),
+        (["eval"], "eval", 78),
+        (["eval", "--model", "model.swq8"], "eval", 78),
+        (["sweep-layers"], "train", 38),
+        (["exp-init", "--k", "1"], "train", 38),
+        (["exp-data"], "train", 38),
+    ],
+    ids=[
+        "distill",
+        "prune",
+        "eval",
+        "eval --model model.swq8",
+        "sweep-layers",
+        "exp-init --k 1",
+        "exp-data",
+    ],
+)
+def test_data_the_checkpoint_cannot_run_fails_before_any_work(
+    tiny_cfg, tmp_path, capsys, argv, split, frames
+):
+    # The config's own model (max_frames unset) fits the data; the
+    # checkpoint's max_frames does not.  Commands that only score the
+    # checkpoint check the eval split alone.
+    out = tmp_path / "run"
+    out.mkdir()
+    model = AcousticModel.init(model_config_from({**parse_config(tiny_cfg), "max_frames": 10}))
+    for name in ("teacher.swav", "student.swav"):
+        save_model(model, out / name)
+    save_quantized_model(quantize_model(model), out / "model.swq8")
+    argv = [part if part != "model.swq8" else str(out / part) for part in argv]
+    assert main(argv + ["--config", tiny_cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {split} utterance 0 needs {frames} frames; max_frames is 10" in err
+    assert sorted(os.listdir(out)) == ["model.swq8", "student.swav", "teacher.swav"]
+
+
+@pytest.mark.parametrize(
+    "config_extra, checkpoint_extra, train_error",
+    [
+        ("", {"max_frames": 78}, "train utterance 0 needs 98 frames; max_frames is 78"),
+        ("segment_len = 6", {}, "train utterance 3: CTC needs 3 frames, the conv stack gives 2"),
+    ],
+    ids=["train past the checkpoint's max_frames", "train short for CTC"],
+)
+def test_eval_and_prune_check_only_the_eval_split(
+    tiny_cfg, tmp_path, capsys, config_extra, checkpoint_extra, train_error
+):
+    # Under seed 0 the train split holds the longest utterance (98
+    # frames against eval's 78) and, with segment_len = 6, utterances
+    # too short for CTC; neither matters to scoring the eval split.
+    path = tmp_path / "run.cfg"
+    path.write_text(open(tiny_cfg).read() + config_extra + "\n")
+    out = tmp_path / "run"
+    out.mkdir()
+    model = AcousticModel.init(model_config_from({**parse_config(path), **checkpoint_extra}))
+    for name in ("teacher.swav", "student.swav"):
+        save_model(model, out / name)
+    common = ["--config", str(path), "--out", str(out), "--seed", "0"]
+    assert main(["eval"] + common) == 0
+    assert main(["prune"] + common) == 0
+    capsys.readouterr()
+    assert main(["distill"] + common) == 2
+    assert f"error: {train_error}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["quantize", "prune", "eval"])
+def test_a_checkpoint_holding_nan_fails_before_any_work(tiny_cfg, tmp_path, capsys, command):
+    out = tmp_path / "run"
+    out.mkdir()
+    model = AcousticModel.init(model_config_from(parse_config(tiny_cfg)))
+    model.parts["layer0.wq"].data[0, 0] = float("nan")
+    save_model(model, out / "student.swav")
+    assert main([command, "--config", tiny_cfg, "--out", str(out)]) == 2
+    assert "error: layer0.wq: holds nan or inf" in capsys.readouterr().err
+    assert os.listdir(out) == ["student.swav"]
 
 
 def test_explicit_selection_needs_indices(tiny_cfg, tmp_path, capsys):
@@ -381,6 +468,7 @@ def test_a_malformed_list_flag_exits_2_before_any_work(
         raise AssertionError("data was built before the flag was parsed")
 
     monkeypatch.setattr(cli, "experiment_datasets", no_data)
+    monkeypatch.setattr(cli, "eval_split", no_data)
     with pytest.raises(SystemExit) as exit_:
         main(argv + ["--config", tiny_cfg, "--out", str(out)])
     assert exit_.value.code == 2

@@ -1,4 +1,3 @@
-from dataclasses import fields
 from functools import reduce
 
 import numpy as np
@@ -23,16 +22,17 @@ from smallwav.distill import (
     lr_at,
     objective,
     teacher_logits,
-    write_history_csv,
 )
 from smallwav.model import AcousticModel, ConfigError, LayerSelection, ModelConfig, init_student
-from smallwav.table import read_table
+from smallwav.table import read_table, write_records
 from smallwav.tensor import Tensor, add, square, tsum
 
 from helpers import close, fd_check
 
 LN2 = float(np.log(2.0))
-HISTORY_COLUMNS = [f.name for f in fields(EpochStats)]
+HISTORY_COLUMNS = (
+    "epoch", "lr", "train_total", "train_distill", "train_feature", "val_total", "val_wer",
+)
 
 
 def dirichlet_rows(rng, n, m):
@@ -481,7 +481,7 @@ def test_history_csv_roundtrip(tmp_path):
         EpochStats(1, 2.5e-4, 0.5, 0.375, 0.125, 0.4375, 12.5),
     ]
     path = tmp_path / "history.csv"
-    write_history_csv(EpochStats, history.epochs, path)
+    write_records(path, EpochStats, history.epochs)
     first = path.read_text().splitlines()[0]
     assert first == "epoch,lr,train_total,train_distill,train_feature,val_total,val_wer"
     rows = read_table(path, HISTORY_COLUMNS)

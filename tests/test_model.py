@@ -248,6 +248,16 @@ def test_checkpoint_truncated_and_padded(tmp_path):
         load_model(path)
 
 
+@pytest.mark.parametrize("value", [np.nan, -np.inf], ids=["nan", "inf"])
+def test_checkpoint_rejects_a_part_that_is_not_finite(tmp_path, value):
+    model = AcousticModel.init(TINY, seed=0)
+    model.parts["layer0.wq"].data[1, 2] = value
+    path = tmp_path / "m.swav"
+    save_model(model, path)
+    with pytest.raises(CheckpointError, match=r"layer0\.wq: holds nan or inf"):
+        load_model(path)
+
+
 def test_checkpoint_errors_share_base(tmp_path):
     assert issubclass(BadMagicError, CheckpointError)
     assert issubclass(BadVersionError, CheckpointError)

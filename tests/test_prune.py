@@ -16,7 +16,6 @@ from smallwav.model import (
     save_model,
 )
 from smallwav.prune import (
-    REPORT_COLUMNS,
     PruneRow,
     SensitivityMap,
     default_sensitivity_map,
@@ -24,9 +23,8 @@ from smallwav.prune import (
     prune_layer,
     prune_model,
     sparsity,
-    write_report_csv,
 )
-from smallwav.table import read_table
+from smallwav.table import read_table, write_records
 
 SMALL_CFG = ModelConfig(
     conv_layers=((8, 6, 2), (16, 4, 2)),
@@ -37,6 +35,8 @@ SMALL_CFG = ModelConfig(
     n_tokens=12,
     max_frames=96,
 )
+
+SPARSITY_COLUMNS = ("layer", "group", "sensitivity", "threshold", "pruned", "total", "sparsity")
 
 
 # ---------------------------------------------------------------------------
@@ -228,14 +228,14 @@ def test_report_csv_round_trip(tmp_path):
     model = AcousticModel.init(SMALL_CFG, seed=3)
     _, report = prune_model(model, default_sensitivity_map(SMALL_CFG))
     path = tmp_path / "sparsity.csv"
-    write_report_csv(report, path)
+    write_records(path, PruneRow, report.rows)
 
     first = path.read_text().splitlines()[0]
     assert first == "layer,group,sensitivity,threshold,pruned,total,sparsity"
 
     rows = [
         PruneRow(layer, group, float(s), float(t), int(pruned), int(total))
-        for layer, group, s, t, pruned, total, _ in read_table(path, REPORT_COLUMNS)
+        for layer, group, s, t, pruned, total, _ in read_table(path, SPARSITY_COLUMNS)
     ]
     assert rows == list(report.rows)
 
@@ -244,4 +244,4 @@ def test_report_csv_rejects_foreign_files(tmp_path):
     path = tmp_path / "other.csv"
     path.write_text("model,layers\nx,1\n")
     with pytest.raises(ValueError, match="other.csv"):
-        read_table(path, REPORT_COLUMNS)
+        read_table(path, SPARSITY_COLUMNS)

@@ -559,6 +559,30 @@ def test_swq8_rejects_a_weight_record_that_is_not_symmetric_int8(tmp_path, patch
         load_quantized_model(path)
 
 
+def test_swq8_rejects_a_float_part_that_is_not_finite(tmp_path):
+    _, qm = _tiny_quantized()
+    qm.parts["layer1.bq"].data[0] = np.nan
+    path = tmp_path / "m.swq8"
+    save_quantized_model(qm, path)
+    with pytest.raises(CheckpointError, match=r"layer1\.bq: holds nan or inf"):
+        load_quantized_model(path)
+
+
+def test_swq8_rejects_weight_code_minus_128(tmp_path):
+    # Codes of -128 break the float32 carry bound: at K = 518, a column of
+    # 517 codes of -128 and one of -127 against activation codes of 255
+    # sums to -16,907,265, which float32 cannot hold.
+    assert 517 * -128 * 255 + -127 * 255 == -16_907_265
+    assert int(np.float32(-16_907_265)) != -16_907_265
+    _, qm = _tiny_quantized()
+    name, lin = qm.named_linears()[-1]
+    lin.w_q[0, 0] = -128
+    path = tmp_path / "m.swq8"
+    save_quantized_model(qm, path)
+    with pytest.raises(CheckpointError, match=re.escape(f"{name}: weight code -128")):
+        load_quantized_model(path)
+
+
 def test_size_ratio_for_a_linear_dominated_config():
     cfg = ModelConfig(
         conv_layers=((64, 3, 2),),
