@@ -4,8 +4,10 @@ Weights are quantized per tensor once; activations get fresh scale and
 zero point per call.  The demo shows the size ledger, the output drift,
 and the speed of the float model next to the int8 model with and
 without prepacked weight operands.  numpy has no int8 GEMM, so the int8
-model runs float BLAS on integer codes and adds the quantization passes:
-it is smaller than the float model, not faster.
+model runs float BLAS on integer codes and adds the quantization passes,
+in float32: it is smaller than the float model, not faster.  On a 2-core
+x86 host with OpenBLAS's default threads the prepacked int8 model took
+1.18-1.25x the float model's time.
 """
 
 import time

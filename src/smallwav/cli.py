@@ -290,13 +290,15 @@ def _load_any(path):
 
 def cmd_eval(args) -> int:
     cfg, seed, out = _setup(args)
-    model = _in_layout(_load_any(_path(out, "student.swav", args.model)), cfg)
+    path = _path(out, "student.swav", args.model)
+    model = _in_layout(_load_any(path), cfg)
     eval_set = eval_split(cfg, seed, model)
     boundary = model.config.boundary
     refs = [list(t) for _, t in eval_set]
     hyps = [best_path_decode(model.infer(w)) for w, _ in eval_set]
     report = wer(refs, hyps, boundary=boundary)
-    write_transcripts(os.path.join(out, "eval_transcripts.txt"), hyps, boundary=boundary)
+    stem = os.path.splitext(os.path.basename(path))[0]
+    write_transcripts(os.path.join(out, f"eval_{stem}_transcripts.txt"), hyps, boundary=boundary)
     print(report)
     print(f"token error rate {100.0 * token_error_rate(refs, hyps):.2f}%")
     return 0

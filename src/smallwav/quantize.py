@@ -19,8 +19,11 @@ bit-identical either way, only the per-call unpack work disappears.
 
 numpy has no int8 GEMM, so the int8 model runs float BLAS on integer
 codes plus the quantization passes, and it shares the float model's
-gelu, layer norm, attention and conv work.  It is smaller than the float
-model, not faster.
+gelu, layer norm, attention and conv work.  The passes around the GEMM
+run in float32.  Still, the default teacher and its 2-layer student
+serve about 0.85x as many utterances a second in int8 as in float
+(perfbench's infer_int8 against infer_float, one BLAS thread): the int8
+copies are 2.4x smaller, not faster.
 
 Quantized checkpoints use the "SWQ8" container documented in
 docs/formats.md.
@@ -59,10 +62,18 @@ QUANT_PARAMS_BYTES = 8
 #: +-127, so every partial sum of K products stays below 2**24.
 FLOAT32_CARRY_MAX_K = (2**24 - 1) // (255 * 127)
 
+#: Smallest activation scale whose reciprocal, the kernel's float32
+#: multiplier, is finite; a narrower range gets unit scale.
+MIN_ACTIVATION_SCALE = 1.0 / float(np.finfo(np.float32).max)
+
 
 @dataclass(frozen=True)
 class QuantParams:
     """Affine int8 mapping q = round(x / scale) + zero_point.
+
+    quantize is the float64 statement of the mapping.  qlinear_forward
+    computes the same codes in float32, so at a near-tie one of its codes
+    may differ from quantize's by one.
 
     zero_point lives in [-128, 127]; ranges that do not straddle zero
     get it clamped, which shifts the representable window
@@ -110,12 +121,13 @@ def quantize_weights(w) -> tuple:
 def dynamic_activation_params(x) -> QuantParams:
     """Asymmetric per-tensor parameters from the observed range of x.
 
-    scale = (max - min) / 255 (1.0 for a constant tensor) and the zero
-    point places min at code -128, clamped into [-128, 127].  For
-    activations whose range straddles zero, which covers every tensor
-    this model quantizes dynamically, the clamp never engages and the
-    whole observed range is representable.  Recomputed on every call;
-    nothing here is cached between forward passes.
+    scale = (max - min) / 255 (1.0 for a constant tensor, or one whose
+    range is below 255 / float32 max) and the zero point places min at
+    code -128, clamped into [-128, 127].  For activations whose range
+    straddles zero, which covers every tensor this model quantizes
+    dynamically, the clamp never engages and the whole observed range is
+    representable.  Recomputed on every call; nothing here is cached
+    between forward passes.
 
     A nan anywhere makes min and max nan, and an infinity becomes one of
     them, so checking those two values covers the whole input.
@@ -130,7 +142,7 @@ def dynamic_activation_params(x) -> QuantParams:
     # Unlike weight scales these are never serialized, so no float32
     # snapping: full precision keeps the clip error inside scale / 2.
     scale = (mx - mn) / 255.0
-    if scale == 0.0:
+    if scale < MIN_ACTIVATION_SCALE:
         scale = 1.0
     # round() on a float rounds half to even, as np.rint does.
     zp = min(max(-128 - round(mn / scale), -128), 127)
@@ -192,20 +204,28 @@ def qlinear_forward(x, *pairs) -> list:
     Each pair is a QuantizedLinear w and its (d_out,) float bias b.  x is
     quantized once, from its own range, and every layer reads those
     codes, so Q, K and V cost one quantization; each layer gets its own
-    matmul and contiguous output.  The codes minus the zero point,
-    clip(rint(x / scale), -128 - zp, 127 - zp), lie in [-255, 255] and
+    matmul and contiguous output.  The codes minus the zero point are
+    rint(x * float32(1 / scale)) clamped to [-128 - zp, 127 - zp] (by
+    np.maximum and np.minimum, which skip np.clip's Python wrapper), all
+    in float32: at a near-tie a code may sit one step from the float64
+    QuantParams.quantize, and the clamp catches the one-step overshoots
+    this makes at the ends of the range.  They lie in [-255, 255] and
     weight codes in [-127, 127], so the matmul runs on exact integers
     carried in carry_dtype(K): float32 up to K = 518, where every partial
-    sum stays below 2^24, and float64 beyond, exact up to K = 2^15.  The
-    result is bit-identical to a 32-bit integer accumulator in any
-    summation order, and runs on BLAS instead of numpy's integer loops.
-    One combined scale per layer brings it back to float, in float64,
-    before the bias is added.
+    sum stays below 2^24, and float64 beyond, exact up to K = 2^15 and
+    cast to float32 after.  The product is bit-identical to a 32-bit
+    integer accumulator in any summation order, and runs on BLAS instead
+    of numpy's integer loops.  In place and in float32, one combined
+    scale per layer brings it back to float and the bias is added.
 
     Against the exact float product the per-element error is at most
     0.75 * (scale_w * ||x||_1 + scale_x * ||w||_1) with full-tensor
     1-norms, valid for inner dimensions up to 127 (the 0.5 rounding
     terms plus a cross term bounded via ||w||_1 >= 127 * scale_w).
+    float32 rounding adds to that: each code is within
+    0.5 + 2^-23 * |x / scale| <= 0.5 + 3.1e-5 steps of x / scale, and
+    the rescale rounds three times (the combined scale, the product and
+    the bias sum), each within 2^-24 relative.
     """
     x = np.asarray(x)
     if x.ndim != 2:
@@ -223,17 +243,17 @@ def qlinear_forward(x, *pairs) -> list:
             )
     aparams = dynamic_activation_params(x)
     zp = aparams.zero_point
-    codes = x.astype(np.float64)
-    codes /= aparams.scale
+    codes = np.multiply(x, np.float32(1.0 / aparams.scale), dtype=np.float32)
     np.rint(codes, out=codes)
-    np.clip(codes, -128 - zp, 127 - zp, out=codes)
+    np.maximum(codes, -128 - zp, out=codes)
+    np.minimum(codes, 127 - zp, out=codes)
     codes = codes.astype(carry_dtype(x.shape[1]), copy=False)
     out = []
     for lin, b in pairs:
-        y = (codes @ lin._kernel_weights()).astype(np.float64, copy=False)
-        y *= aparams.scale * lin.w_params.scale
+        y = (codes @ lin._kernel_weights()).astype(np.float32, copy=False)
+        y *= np.float32(aparams.scale * lin.w_params.scale)
         y += b
-        out.append(y.astype(np.float32))
+        out.append(y)
     return out
 
 

@@ -155,7 +155,7 @@ def test_workflow_train_distill_quantize_prune_eval(tiny_cfg, tmp_path, capsys):
     assert main(["eval", "--config", tiny_cfg, "--out", out, "--model", model_path]) == 0
     shown = capsys.readouterr().out
     assert "WER" in shown and "token error rate" in shown
-    assert os.path.exists(os.path.join(out, "eval_transcripts.txt"))
+    assert os.path.exists(os.path.join(out, "eval_model_transcripts.txt"))
 
     assert main(["sweep-layers", "--config", tiny_cfg, "--out", out, "--layers", "1"]) == 0
     assert main(["exp-init", "--config", tiny_cfg, "--out", out, "--k", "1"]) == 0
@@ -177,6 +177,19 @@ def test_workflow_train_distill_quantize_prune_eval(tiny_cfg, tmp_path, capsys):
             text = fh.read()
         assert b"\r" not in text, name
         assert text.decode().split("\n")[0] == headers[name], name
+
+
+def test_eval_of_two_checkpoints_leaves_one_transcript_file_each(tiny_cfg, tmp_path):
+    out = tmp_path / "run"
+    out.mkdir()
+    model = AcousticModel.init(model_config_from(parse_config(tiny_cfg)), seed=0)
+    save_model(model, str(out / "student.swav"))
+    save_quantized_model(quantize_model(model), str(out / "model.swq8"))
+    assert main(["eval", "--config", tiny_cfg, "--out", str(out)]) == 0
+    model_path = str(out / "model.swq8")
+    assert main(["eval", "--config", tiny_cfg, "--out", str(out), "--model", model_path]) == 0
+    dumps = sorted(f for f in os.listdir(out) if f.endswith("_transcripts.txt"))
+    assert dumps == ["eval_model_transcripts.txt", "eval_student_transcripts.txt"]
 
 
 def test_prune_reports_a_pattern_that_holds_a_comma(tiny_cfg, tmp_path):

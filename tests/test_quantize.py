@@ -1,8 +1,9 @@
 """Quantization: affine mappings, the int8 linear kernel, model round trips.
 
-The float64 product x @ w + b is the oracle for every kernel check, and
-file sizes are checked against actual bytes on disk rather than the
-accounting function alone.
+The float64 product x @ w + b is the oracle for every kernel error
+bound, a float32 reference written out step by step for every bit-exact
+kernel check, and file sizes are checked against actual bytes on disk
+rather than the accounting function alone.
 """
 
 import re
@@ -141,6 +142,18 @@ def test_activation_range_away_from_zero_saturates():
     assert np.allclose(back, top)
 
 
+def test_a_range_too_narrow_for_a_float32_reciprocal_gets_unit_scale():
+    # 1e-38 / 255 is a scale whose reciprocal overflows float32, so the
+    # kernel would multiply by inf; unit scale codes it all as zero.
+    x = np.array([[0.0, 1e-38]], dtype=np.float32)
+    assert dynamic_activation_params(x) == QuantParams(scale=1.0, zero_point=-128)
+    b = np.array([0.5, -0.25], dtype=np.float32)
+    (out,) = qlinear_forward(x, (QuantizedLinear.from_float(np.ones((2, 2))), b))
+    assert np.array_equal(out, b[None, :])
+    wide = np.array([[0.0, 1e-36]], dtype=np.float32)
+    assert dynamic_activation_params(wide).scale == float(wide.max()) / 255.0
+
+
 def test_activation_params_reject_inf_and_empty():
     with pytest.raises(NumericError):
         dynamic_activation_params(np.array([np.inf, 0.0]))
@@ -248,12 +261,15 @@ def test_nan_and_inf_inputs_raise_numeric_error(dtype, bad):
 
 
 # ---------------------------------------------------------------------------
-# bit-exact against the kernel as first written
+# bit-exact against a reference written out step by step
 #
-# That kernel quantized its input once per layer, went through int8 and
-# back, and carried the integer product in float64.  The kernel now
-# quantizes once per input and carries the product in float32 where
-# that is exact; neither may move a bit of any output.
+# The kernel quantizes once per input, carries the integer product in
+# float32 where that is exact, and takes the codes and the rescale in
+# float32.  The reference quantizes per layer, takes the integer
+# product in int64, and spells out each float32 step; no output may
+# differ by a bit.  The float64 reference (QuantParams.quantize's codes,
+# rescaled in float64) bounds how far those float32 steps move a code
+# and an output.
 
 
 def reference_activation_params(x) -> QuantParams:
@@ -263,13 +279,31 @@ def reference_activation_params(x) -> QuantParams:
     mn = float(x.min())
     mx = float(x.max())
     scale = (mx - mn) / 255.0
-    if scale == 0.0:
+    # Unit scale for a constant input, or for a range so narrow that
+    # 1 / scale overflows float32.
+    if scale == 0.0 or 1.0 / scale > float(np.finfo(np.float32).max):
         scale = 1.0
     zp = int(np.clip(-128 - np.rint(mn / scale), -128, 127))
     return QuantParams(scale=scale, zero_point=zp)
 
 
+def reference_codes(x, aparams: QuantParams) -> np.ndarray:
+    """Activation codes minus the zero point, as float32 integers."""
+    inv_scale = np.float32(1.0 / aparams.scale)
+    codes = np.rint(np.asarray(x, dtype=np.float32) * inv_scale)
+    return np.clip(codes, -128 - aparams.zero_point, 127 - aparams.zero_point)
+
+
 def reference_qlinear(x, layer: QuantizedLinear, bias) -> np.ndarray:
+    aparams = reference_activation_params(x)
+    codes = reference_codes(x, aparams).astype(np.int64)
+    acc = (codes @ layer.w_q.astype(np.int64)).astype(np.float32)
+    combined = np.float32(aparams.scale * layer.w_params.scale)
+    return acc * combined + np.asarray(bias, dtype=np.float32)
+
+
+def float64_reference_qlinear(x, layer: QuantizedLinear, bias) -> np.ndarray:
+    """The mapping's float64 statement: quantize's codes, rescaled in float64."""
     aparams = reference_activation_params(x)
     x_q = aparams.quantize(x).astype(np.float64)
     acc = (x_q - aparams.zero_point) @ layer.w_q.astype(np.float64)
@@ -336,7 +370,7 @@ def test_float32_carry_is_exact_up_to_k_518():
     assert not np.array_equal(x.astype(np.float32) @ w.astype(np.float32), exact)
 
 
-@pytest.mark.parametrize("k", [518, 519])
+@pytest.mark.parametrize("k", [518, 519, 1024, 1037])
 def test_kernel_matches_the_reference_at_the_carry_boundary(k):
     rng = np.random.default_rng(k)
     # Weights of +-1 quantize to codes +-127.  An input in {0, 1} puts its
@@ -350,6 +384,7 @@ def test_kernel_matches_the_reference_at_the_carry_boundary(k):
     for sign in (1.0, -1.0):
         x = sign * (rng.random((4, k)) < 0.9).astype(np.float32)
         (got,) = qlinear_forward(x, (lin, b))
+        assert got.dtype == np.float32 and got.flags.c_contiguous
         assert np.array_equal(got, reference_qlinear(x, lin, b))
 
 
@@ -362,6 +397,92 @@ def test_kernel_matches_the_reference_when_the_zero_point_clamps(offset):
     x = (offset + 2.0 * rng.random((4, 8))).astype(np.float32)
     (got,) = qlinear_forward(x, (lin, b))
     assert np.array_equal(got, reference_qlinear(x, lin, b))
+
+
+def test_float32_codes_stay_within_one_step_of_the_float64_kernel():
+    # Taking the codes in float32 moves one by at most a step, at a
+    # near-tie; the rescale adds float32 rounding of the output.
+    rng = np.random.default_rng(64)
+    moved = 0
+    for _ in range(200):
+        x = (rng.normal(size=(8, 64)) * 10.0 ** rng.uniform(-2, 2)).astype(np.float32)
+        lin, b = _qlin(rng.normal(size=(64, 16)), rng.normal(size=16))
+        aparams = reference_activation_params(x)
+        # Every input but the extremes to the float32 value nearest a tie,
+        # so the scale and zero point stay as they are.
+        ties = (np.floor(x / aparams.scale) + 0.5) * aparams.scale
+        ties = np.clip(ties, x.min(), x.max()).astype(np.float32)
+        x = np.where((x == x.min()) | (x == x.max()), x, ties)
+        assert reference_activation_params(x) == aparams
+        float64_codes = aparams.quantize(x).astype(np.float64) - aparams.zero_point
+        steps = np.abs(reference_codes(x, aparams) - float64_codes)
+        assert steps.max() <= 1
+        moved += int(steps.sum())
+        (got,) = qlinear_forward(x, (lin, b))
+        old = float64_reference_qlinear(x, lin, b).astype(np.float64)
+        one_step = aparams.scale * lin.w_params.scale * np.abs(lin.w_q.astype(np.float64)).max(axis=0)
+        bound = steps.sum(axis=1, keepdims=True) * one_step + 1e-6 * (1.0 + np.abs(old))
+        assert np.all(np.abs(got - old) <= bound)
+    assert moved > 0
+
+
+def _code_reader(k):
+    """A layer whose outputs are the activation codes times float32(scale_x)."""
+    return QuantizedLinear(np.eye(k, dtype=np.int8), QuantParams(scale=1.0, zero_point=0))
+
+
+def _tie_inputs(draw, straddle):
+    """Inputs on rounding ties of x / scale, extremes included.
+
+    scale is a power of two, so x * float32(1 / scale) is exact and every
+    element lands on j + 1/2.  Rounding half to even can then carry the
+    top element one code past 127 - zero_point, which the clamp catches.
+    """
+    n, k = draw(st.integers(1, 4)), draw(st.integers(2, 16))
+    step = 2.0 ** draw(st.integers(-12, 6))
+    low = draw(st.integers(-255, -1) if straddle else st.integers(1, 600))
+    ties = draw(st.lists(st.integers(0, 255), min_size=n * k, max_size=n * k))
+    ties[0], ties[-1] = 0, 255
+    x = (np.array(ties, dtype=np.float64).reshape(n, k) + low + 0.5) * step
+    return x.astype(np.float32) * draw(st.sampled_from([1.0, -1.0]))
+
+
+@st.composite
+def _kernel_inputs(draw):
+    straddle = draw(st.booleans())
+    if draw(st.booleans()):
+        x = _tie_inputs(draw, straddle)
+    else:
+        n, k = draw(st.integers(1, 4)), draw(st.integers(1, 16))
+        values = st.floats(-1e6, 1e6, allow_nan=False, width=32)
+        x = np.array(draw(st.lists(values, min_size=n * k, max_size=n * k)), dtype=np.float32)
+        x = x.reshape(n, k)
+        if straddle:
+            x -= x.mean(dtype=np.float32)
+    return x, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_kernel_inputs())
+def test_codes_stay_in_the_window_and_the_error_inside_the_bound(case):
+    x, seed = case
+    aparams = dynamic_activation_params(x)
+    zp = aparams.zero_point
+    (scaled,) = qlinear_forward(x, (_code_reader(x.shape[1]), np.zeros(x.shape[1], np.float32)))
+    codes = np.rint(scaled.astype(np.float64) / np.float32(aparams.scale))
+    assert np.all((-128 - zp <= codes) & (codes <= 127 - zp))
+    assert np.array_equal(codes, reference_codes(x, aparams))
+    if not (x.min() <= 0.0 <= x.max()):
+        return
+    # Criterion 08's bound and slack, for a zero-straddling input.
+    rng = np.random.default_rng(seed)
+    w = (rng.standard_normal((x.shape[1], 5)) * 10.0 ** rng.uniform(-2, 1)).astype(np.float32)
+    lin = QuantizedLinear.from_float(w)
+    (got,) = qlinear_forward(x, (lin, np.zeros(5, dtype=np.float32)))
+    oracle = x.astype(np.float64) @ w.astype(np.float64)
+    bound = 0.75 * (lin.w_params.scale * np.abs(x).sum() + aparams.scale * np.abs(w).sum())
+    slack = 6e-8 * (1.0 + np.abs(oracle)) + 1e-9
+    assert np.all(np.abs(got.astype(np.float64) - oracle) <= bound + slack)
 
 
 # ---------------------------------------------------------------------------
