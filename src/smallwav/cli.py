@@ -161,10 +161,6 @@ def _setup(args) -> tuple:
     return cfg, seed, args.out
 
 
-def _path(out, name, override=None) -> str:
-    return override if override else os.path.join(out, name)
-
-
 def _in_layout(model, cfg: dict):
     """model, if the data cfg builds is in its token layout.
 
@@ -180,11 +176,18 @@ def _in_layout(model, cfg: dict):
     return model
 
 
-def _load_teacher(cfg, out, override):
-    path = _path(out, "teacher.swav", override)
+def _checkpoint(out, name, override) -> str:
+    """The checkpoint to load, override or name in out, which must exist."""
+    path = override if override else os.path.join(out, name)
     if not os.path.exists(path):
-        raise CheckpointError(f"no teacher checkpoint at {path}; run train-teacher first")
-    return _in_layout(load_model(path), cfg)
+        kind = os.path.splitext(name)[0]
+        writer = {"teacher": "train-teacher", "student": "distill"}[kind]
+        raise CheckpointError(f"no {kind} checkpoint at {path}; run {writer} first")
+    return path
+
+
+def _load_teacher(cfg, out, override):
+    return _in_layout(load_model(_checkpoint(out, "teacher.swav", override)), cfg)
 
 
 def cmd_gen_data(args) -> int:
@@ -252,7 +255,7 @@ def cmd_distill(args) -> int:
 
 def cmd_quantize(args) -> int:
     _, _, out = _setup(args)
-    model = load_model(_path(out, "student.swav", args.model))
+    model = load_model(_checkpoint(out, "student.swav", args.model))
     quantized = quantize_model(model)
     save_quantized_model(quantized, os.path.join(out, "model.swq8"))
     fbytes = model_size_bytes(model)
@@ -263,7 +266,7 @@ def cmd_quantize(args) -> int:
 
 def cmd_prune(args) -> int:
     cfg, seed, out = _setup(args)
-    model = _in_layout(load_model(_path(out, "student.swav", args.model)), cfg)
+    model = _in_layout(load_model(_checkpoint(out, "student.swav", args.model)), cfg)
     eval_set = eval_split(cfg, seed, model)
     if args.sensitivity or args.default_sensitivity is not None:
         smap = SensitivityMap(args.sensitivity, default=args.default_sensitivity)
@@ -278,11 +281,8 @@ def cmd_prune(args) -> int:
 
 
 def _load_any(path):
-    try:
-        with open(path, "rb") as fh:
-            magic = fh.read(4)
-    except OSError as exc:
-        raise CheckpointError(f"cannot read {path}: {exc}") from exc
+    with open(path, "rb") as fh:
+        magic = fh.read(4)
     if magic == QMAGIC:
         return prepack(load_quantized_model(path))
     return load_model(path)
@@ -290,7 +290,7 @@ def _load_any(path):
 
 def cmd_eval(args) -> int:
     cfg, seed, out = _setup(args)
-    path = _path(out, "student.swav", args.model)
+    path = _checkpoint(out, "student.swav", args.model)
     model = _in_layout(_load_any(path), cfg)
     eval_set = eval_split(cfg, seed, model)
     boundary = model.config.boundary

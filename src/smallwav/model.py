@@ -94,13 +94,13 @@ class ModelConfig:
                 f"last conv out_channels {self.conv_layers[-1][0]} "
                 f"must equal d_model {self.d_model}"
             )
+        for name in ("d_model", "n_transformer_layers", "n_heads", "ffn_dim", "max_frames"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
         if self.d_model % self.n_heads != 0:
             raise ConfigError(
                 f"d_model {self.d_model} not divisible by n_heads {self.n_heads}"
             )
-        for name in ("d_model", "n_transformer_layers", "n_heads", "ffn_dim", "max_frames"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
         if self.n_tokens < 2:
             raise ConfigError("n_tokens must cover blank plus at least one symbol")
 
@@ -363,27 +363,26 @@ def init_student(teacher: AcousticModel, selection: LayerSelection) -> AcousticM
 # SWAV and SWQ8 checkpoints (see docs/formats.md)
 
 
+#: The uint32 config fields that follow the conv triples, in file order.
+#: Spelled out, not read from ModelConfig, so that reordering the
+#: dataclass cannot change the format.
+HEADER_FIELDS = ("d_model", "n_transformer_layers", "n_heads", "ffn_dim", "n_tokens", "max_frames")
+
+
+def _header_length(n_conv: int) -> int:
+    """Magic, version, conv count, n_conv conv triples and HEADER_FIELDS."""
+    return 12 + 12 * n_conv + 4 * len(HEADER_FIELDS)
+
+
 def _pack_config(config: ModelConfig) -> bytes:
-    parts = [struct.pack("<I", len(config.conv_layers))]
-    for c_out, width, stride in config.conv_layers:
-        parts.append(struct.pack("<III", c_out, width, stride))
-    parts.append(
-        struct.pack(
-            "<IIIIII",
-            config.d_model,
-            config.n_transformer_layers,
-            config.n_heads,
-            config.ffn_dim,
-            config.n_tokens,
-            config.max_frames,
-        )
-    )
-    return b"".join(parts)
+    values = [len(config.conv_layers), *(v for trip in config.conv_layers for v in trip)]
+    values += [getattr(config, name) for name in HEADER_FIELDS]
+    return struct.pack(f"<{len(values)}I", *values)
 
 
 def header_bytes(config: ModelConfig) -> int:
-    """Length of the SWAV header for this config."""
-    return 4 + 4 + 4 + 12 * len(config.conv_layers) + 24
+    """Length of the header, which SWAV and SWQ8 share, for this config."""
+    return _header_length(len(config.conv_layers))
 
 
 def checkpoint_bytes(config: ModelConfig) -> int:
@@ -452,33 +451,19 @@ def _parse_header(raw: bytes, magic: bytes) -> tuple:
         raise BadMagicError(f"expected magic {magic!r}, found {raw[:4]!r}")
     if len(raw) < 12:
         raise TruncatedError("file too short for a header")
-    (version,) = struct.unpack_from("<I", raw, 4)
+    version, n_conv = struct.unpack_from("<II", raw, 4)
     if version != FORMAT_VERSION:
         raise BadVersionError(f"unsupported version {version}")
-    (n_conv,) = struct.unpack_from("<I", raw, 8)
-    need = 12 + 12 * n_conv + 24
-    if len(raw) < need:
+    end = _header_length(n_conv)
+    if len(raw) < end:
         raise TruncatedError("file too short for its config block")
-    conv = []
-    off = 12
-    for _ in range(n_conv):
-        conv.append(struct.unpack_from("<III", raw, off))
-        off += 12
-    d, layers, heads, ffn, tokens, maxf = struct.unpack_from("<IIIIII", raw, off)
-    off += 24
+    values = struct.unpack_from(f"<{3 * n_conv + len(HEADER_FIELDS)}I", raw, 12)
+    conv = tuple(values[i : i + 3] for i in range(0, 3 * n_conv, 3))
     try:
-        config = ModelConfig(
-            conv_layers=tuple(conv),
-            d_model=d,
-            n_transformer_layers=layers,
-            n_heads=heads,
-            ffn_dim=ffn,
-            n_tokens=tokens,
-            max_frames=maxf,
-        )
+        config = ModelConfig(conv_layers=conv, **dict(zip(HEADER_FIELDS, values[3 * n_conv :])))
     except ConfigError as exc:
         raise CheckpointError(f"config block invalid: {exc}") from exc
-    return config, off
+    return config, end
 
 
 #: weight-matrix fields of an encoder layer's linears

@@ -45,17 +45,16 @@ from .model import (
     _param_shapes,
     _read_checkpoint,
     _write_checkpoint,
-    count_params,
     linear_weight_names,
 )
 from .model import checkpoint_bytes as float_checkpoint_bytes
-from .model import header_bytes as _header_bytes
 from .tensor import NumericError, ShapeError, Tensor
 
 QMAGIC = b"SWQ8"
 
-#: serialized bytes per QuantParams record: float32 scale + int32 zero point
-QUANT_PARAMS_BYTES = 8
+#: one weight matrix's QuantParams record: float32 scale, int32 zero point
+_WEIGHT_RECORD = struct.Struct("<fi")
+QUANT_PARAMS_BYTES = _WEIGHT_RECORD.size
 
 #: Widest inner dimension whose integer product float32 carries exactly:
 #: activation codes minus their zero point reach +-255 and weight codes
@@ -323,17 +322,12 @@ def prepack(qmodel: QuantizedModel) -> QuantizedModel:
 
 
 def quantized_checkpoint_bytes(config: ModelConfig) -> int:
-    """Exact SWQ8 file size: header, float payload, per-tensor int8 records."""
+    """Exact SWQ8 file size: the SWAV size, with each linear weight's four
+    float32 bytes cut to one int8 code, plus one record per linear."""
     shapes = dict(_param_shapes(config))
     linears = linear_weight_names(config)
     linear_elems = sum(math.prod(shapes[name]) for name in linears)
-    float_params = count_params(config) - linear_elems
-    return (
-        _header_bytes(config)
-        + 4 * float_params
-        + len(linears) * QUANT_PARAMS_BYTES
-        + linear_elems
-    )
+    return float_checkpoint_bytes(config) - 3 * linear_elems + len(linears) * QUANT_PARAMS_BYTES
 
 
 def model_size_bytes(model) -> int:
@@ -348,7 +342,7 @@ def model_size_bytes(model) -> int:
 def save_quantized_model(qmodel: QuantizedModel, path) -> None:
     records = []
     for _, lin in qmodel.named_linears():
-        records.append(struct.pack("<fi", lin.w_params.scale, lin.w_params.zero_point))
+        records.append(_WEIGHT_RECORD.pack(lin.w_params.scale, lin.w_params.zero_point))
         records.append(np.ascontiguousarray(lin.w_q, dtype=np.int8).tobytes())
     _write_checkpoint(path, QMAGIC, qmodel, b"".join(records))
 
@@ -361,7 +355,7 @@ def load_quantized_model(path) -> QuantizedModel:
     shapes = dict(_param_shapes(config))
     cursor = 0
     for name in linear_weight_names(config):
-        scale, zp = struct.unpack_from("<fi", records, cursor)
+        scale, zp = _WEIGHT_RECORD.unpack_from(records, cursor)
         cursor += QUANT_PARAMS_BYTES
         # The kernel reads only the scale, so weights must be symmetric.
         if zp != 0 or not (math.isfinite(scale) and scale > 0):

@@ -448,6 +448,28 @@ def test_a_checkpoint_holding_nan_fails_before_any_work(tiny_cfg, tmp_path, caps
     assert os.listdir(out) == ["student.swav"]
 
 
+@pytest.mark.parametrize(
+    "command, name, writer",
+    [
+        ("quantize", "student", "distill"),
+        ("prune", "student", "distill"),
+        ("eval", "student", "distill"),
+        ("distill", "teacher", "train-teacher"),
+        ("sweep-layers", "teacher", "train-teacher"),
+        ("exp-init", "teacher", "train-teacher"),
+        ("exp-data", "teacher", "train-teacher"),
+    ],
+)
+def test_a_missing_checkpoint_names_its_path_and_the_command_that_writes_it(
+    tiny_cfg, tmp_path, capsys, command, name, writer
+):
+    out = tmp_path / "run"
+    assert main([command, "--config", tiny_cfg, "--out", str(out)]) == 2
+    path = out / f"{name}.swav"
+    assert f"error: no {name} checkpoint at {path}; run {writer} first" in capsys.readouterr().err
+    assert os.listdir(out) == []
+
+
 def test_explicit_selection_needs_indices(tiny_cfg, tmp_path, capsys):
     out = str(tmp_path / "run")
     assert main(["train-teacher", "--config", tiny_cfg, "--out", out]) == 0

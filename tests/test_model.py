@@ -89,6 +89,8 @@ def test_config_validation():
         ModelConfig(d_model=30, n_heads=4, conv_layers=((32, 8, 2),))
     with pytest.raises(ConfigError):
         ModelConfig(n_tokens=1)
+    with pytest.raises(ConfigError, match="n_heads must be >= 1"):
+        ModelConfig(n_heads=0)
 
 
 def test_init_is_seed_deterministic():

@@ -26,6 +26,7 @@ from smallwav.model import (
     count_params,
     header_bytes,
     linear_weight_names,
+    load_model,
     save_model,
 )
 from smallwav.quantize import (
@@ -659,6 +660,101 @@ def test_swq8_rejects_foreign_and_damaged_files(tmp_path):
     (tmp_path / "long.swq8").write_bytes(raw + b"\x00\x00")
     with pytest.raises(TruncatedError):
         load_quantized_model(tmp_path / "long.swq8")
+
+
+# Every header value distinct, but for the last conv width that d_model must equal.
+HEADER_CFG = ModelConfig(
+    conv_layers=((10, 9, 3), (24, 7, 5)),
+    d_model=24,
+    n_transformer_layers=4,
+    n_heads=6,
+    ffn_dim=48,
+    n_tokens=13,
+    max_frames=77,
+)
+
+
+def _save_swq8(model, path):
+    save_quantized_model(quantize_model(model), path)
+
+
+CONTAINERS = pytest.mark.parametrize(
+    "magic, save, load",
+    [(b"SWAV", save_model, load_model), (b"SWQ8", _save_swq8, load_quantized_model)],
+    ids=["swav", "swq8"],
+)
+
+
+def _saved_header_cfg(tmp_path, save) -> bytes:
+    path = tmp_path / "m.ckpt"
+    save(AcousticModel.init(HEADER_CFG, seed=0), path)
+    return path.read_bytes()
+
+
+@CONTAINERS
+def test_header_values_sit_at_the_documented_offsets(tmp_path, magic, save, load):
+    # docs/formats.md's SWAV table, for n = 2 conv layers.
+    raw = _saved_header_cfg(tmp_path, save)
+    assert raw[:4] == magic
+    expected = {
+        4: 1,  # format version
+        8: 2,  # conv layers
+        12: 10, 16: 9, 20: 3,  # conv0 out_channels, kernel_width, stride
+        24: 24, 28: 7, 32: 5,  # conv1
+        36: 24, 40: 4, 44: 6, 48: 48, 52: 13, 56: 77,  # d_model .. max_frames
+    }
+    for offset, value in expected.items():
+        assert struct.unpack_from("<I", raw, offset) == (value,), offset
+    assert header_bytes(HEADER_CFG) == 60
+    first = AcousticModel.init(HEADER_CFG, seed=0).parts["conv0.w"].data.flat[0]
+    assert struct.unpack_from("<f", raw, 60) == (first,)
+
+
+def _patched(tmp_path, raw: bytes, offset: int, value: int):
+    path = tmp_path / "patched.ckpt"
+    data = bytearray(raw)
+    struct.pack_into("<I", data, offset, value)
+    path.write_bytes(bytes(data))
+    return path
+
+
+@CONTAINERS
+def test_a_file_of_magic_and_version_alone_is_too_short_for_a_header(
+    tmp_path, magic, save, load
+):
+    path = tmp_path / "short.ckpt"
+    path.write_bytes(_saved_header_cfg(tmp_path, save)[:8])
+    with pytest.raises(TruncatedError, match="file too short for a header"):
+        load(path)
+
+
+@CONTAINERS
+def test_more_conv_layers_than_the_file_holds_is_too_short_for_the_config_block(
+    tmp_path, magic, save, load
+):
+    raw = _saved_header_cfg(tmp_path, save)
+    path = _patched(tmp_path, raw, 8, len(raw))
+    with pytest.raises(TruncatedError, match="file too short for its config block"):
+        load(path)
+
+
+@CONTAINERS
+@pytest.mark.parametrize(
+    "offset, value, cause",
+    [
+        (8, 0, "conv_layers must not be empty"),
+        (44, 5, "d_model 24 not divisible by n_heads 5"),
+        (44, 0, "n_heads must be >= 1"),
+    ],
+    ids=["no conv layers", "heads not dividing d_model", "no heads"],
+)
+def test_an_invalid_config_block_is_a_checkpoint_error(
+    tmp_path, magic, save, load, offset, value, cause
+):
+    path = _patched(tmp_path, _saved_header_cfg(tmp_path, save), offset, value)
+    with pytest.raises(CheckpointError, match=f"config block invalid: {cause}") as info:
+        load(path)
+    assert info.type is CheckpointError
 
 
 @pytest.mark.parametrize(
