@@ -161,33 +161,16 @@ def _setup(args) -> tuple:
     return cfg, seed, args.out
 
 
-def _in_layout(model, cfg: dict):
-    """model, if the data cfg builds is in its token layout.
-
-    The data's word boundary comes from the config's n_tokens and every
-    scorer's from the model's, so the two must agree.
-    """
-    n_tokens = model_config_from(cfg).n_tokens
-    if model.config.n_tokens != n_tokens:
-        raise ConfigError(
-            f"the checkpoint has n_tokens = {model.config.n_tokens}, "
-            f"but the config builds data with n_tokens = {n_tokens}"
-        )
-    return model
-
-
 def _checkpoint(out, name, override) -> str:
     """The checkpoint to load, override or name in out, which must exist."""
-    path = override if override else os.path.join(out, name)
+    path = override or os.path.join(out, name)
     if not os.path.exists(path):
+        if override:
+            raise CheckpointError(f"no checkpoint at {path}")
         kind = os.path.splitext(name)[0]
         writer = {"teacher": "train-teacher", "student": "distill"}[kind]
         raise CheckpointError(f"no {kind} checkpoint at {path}; run {writer} first")
     return path
-
-
-def _load_teacher(cfg, out, override):
-    return _in_layout(load_model(_checkpoint(out, "teacher.swav", override)), cfg)
 
 
 def cmd_gen_data(args) -> int:
@@ -222,24 +205,21 @@ def cmd_train_teacher(args) -> int:
     return 0
 
 
-def _selection(args) -> LayerSelection:
+def _selection(args, cfg: dict) -> LayerSelection:
     if args.select == "explicit":
         if args.indices is None:
             raise SelectionError("--select explicit needs --indices")
         return LayerSelection.explicit(args.indices)
-    if args.layers is None:
-        raise SelectionError("--layers is required for alternating/last_k")
+    layers = args.layers if args.layers is not None else int(driver_value(cfg, "student_layers"))
     if args.select == "last_k":
-        return LayerSelection.last_k(args.layers)
-    return LayerSelection.alternating(args.layers)
+        return LayerSelection.last_k(layers)
+    return LayerSelection.alternating(layers)
 
 
 def cmd_distill(args) -> int:
     cfg, seed, out = _setup(args)
-    teacher = _load_teacher(cfg, out, args.teacher)
-    if args.layers is None and args.select != "explicit":
-        args.layers = int(driver_value(cfg, "student_layers"))
-    student = init_student(teacher, _selection(args))
+    teacher = load_model(_checkpoint(out, "teacher.swav", args.teacher))
+    student = init_student(teacher, _selection(args, cfg))
     train, val, eval_set = experiment_datasets(cfg, seed, teacher)
     best, history = distill(teacher, student, train, val, distill_config_from(cfg, seed))
     save_model(best, os.path.join(out, "student.swav"))
@@ -266,7 +246,7 @@ def cmd_quantize(args) -> int:
 
 def cmd_prune(args) -> int:
     cfg, seed, out = _setup(args)
-    model = _in_layout(load_model(_checkpoint(out, "student.swav", args.model)), cfg)
+    model = load_model(_checkpoint(out, "student.swav", args.model))
     eval_set = eval_split(cfg, seed, model)
     if args.sensitivity or args.default_sensitivity is not None:
         smap = SensitivityMap(args.sensitivity, default=args.default_sensitivity)
@@ -291,7 +271,7 @@ def _load_any(path):
 def cmd_eval(args) -> int:
     cfg, seed, out = _setup(args)
     path = _checkpoint(out, "student.swav", args.model)
-    model = _in_layout(_load_any(path), cfg)
+    model = _load_any(path)
     eval_set = eval_split(cfg, seed, model)
     boundary = model.config.boundary
     refs = [list(t) for _, t in eval_set]
@@ -332,7 +312,7 @@ def cmd_sweep_layers(args) -> int:
     cfg, seed, out = _setup(args)
     student_cfg = distill_config_from(cfg, seed)
     repeats = time_repeats_from(cfg)
-    teacher = _load_teacher(cfg, out, args.teacher)
+    teacher = load_model(_checkpoint(out, "teacher.swav", args.teacher))
     depth = teacher.config.n_transformer_layers
     counts = args.layers or list(range(1, depth + 1))
     train, val, eval_set = experiment_datasets(cfg, seed, teacher)
@@ -350,7 +330,7 @@ def cmd_sweep_layers(args) -> int:
 
 def cmd_exp_init(args) -> int:
     cfg, seed, out = _setup(args)
-    teacher = _load_teacher(cfg, out, args.teacher)
+    teacher = load_model(_checkpoint(out, "teacher.swav", args.teacher))
     depth = teacher.config.n_transformer_layers
     k = args.k if args.k is not None else min(int(driver_value(cfg, "student_layers")), depth - 1)
     train, val, _ = experiment_datasets(cfg, seed, teacher)
@@ -368,7 +348,7 @@ def cmd_exp_init(args) -> int:
 
 def cmd_exp_data(args) -> int:
     cfg, seed, out = _setup(args)
-    teacher = _load_teacher(cfg, out, args.teacher)
+    teacher = load_model(_checkpoint(out, "teacher.swav", args.teacher))
     k = args.k if args.k is not None else int(driver_value(cfg, "student_layers"))
     train, val, _ = experiment_datasets(cfg, seed, teacher)
     n = len(train)

@@ -150,8 +150,6 @@ def synth_spec_from(cfg: dict, seed: int, n_utterances: int | None = None) -> Sy
 
 
 def driver_value(cfg: dict, key: str):
-    if key not in DRIVER_DEFAULTS:
-        raise KeyError(key)
     return cfg.get(key, DRIVER_DEFAULTS[key])
 
 
@@ -160,9 +158,10 @@ def experiment_datasets(cfg: dict, seed: int, model=None) -> tuple:
 
     Checked before any work against the model the run goes on with,
     the loaded one if given, else the config's: val and eval are
-    nonempty, every utterance fits the conv stack and max_frames, and
-    every train and val utterance has the frames CTC needs for its
-    transcript.  A ConfigError names the split, utterance and bound.
+    nonempty, the config's n_tokens is the model's, every utterance fits
+    the conv stack and max_frames, and every train and val utterance has
+    the frames CTC needs for its transcript.  A ConfigError names the
+    split, utterance and bound.
 
     Returns:
         (train, val, eval_set) lists of (waveform, transcript)
@@ -175,7 +174,7 @@ def experiment_datasets(cfg: dict, seed: int, model=None) -> tuple:
 
 
 def eval_split(cfg: dict, seed: int, model) -> list:
-    """The eval split alone, checked against the loaded model that scores it."""
+    """The eval split, checked against the scoring model's n_tokens, conv stack and max_frames."""
     n_eval = _split_size(cfg, "eval_utterances")
     return _fitting(model.config, "eval", synth_spec_from(cfg, seed + 2, n_eval))
 
@@ -188,6 +187,11 @@ def _split_size(cfg: dict, key: str) -> int:
 
 
 def _fitting(model_cfg: ModelConfig, split: str, spec: SynthSpec) -> list:
+    if spec.boundary != model_cfg.boundary:
+        raise ConfigError(
+            f"the checkpoint has n_tokens = {model_cfg.n_tokens}, "
+            f"but the config builds data with n_tokens = {spec.boundary + 1}"
+        )
     dataset = generate_dataset(spec)
     for i, (wave, transcript) in enumerate(dataset):
         where = f"{split} utterance {i}"

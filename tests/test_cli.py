@@ -2,9 +2,10 @@
 
 import os
 
+import numpy as np
 import pytest
 
-from smallwav import cli
+from smallwav import cli, config
 from smallwav.cli import main
 from smallwav.config import (
     distill_config_from,
@@ -15,7 +16,15 @@ from smallwav.config import (
     synth_spec_from,
 )
 from smallwav.data import SynthSpec, generate_dataset, load_dataset
-from smallwav.model import AcousticModel, ConfigError, load_model, save_model
+from smallwav.distill import distill
+from smallwav.model import (
+    AcousticModel,
+    ConfigError,
+    LayerSelection,
+    init_student,
+    load_model,
+    save_model,
+)
 from smallwav.quantize import quantize_model, save_quantized_model
 from smallwav.table import read_table
 
@@ -358,8 +367,7 @@ def test_a_checkpoint_in_another_token_layout_fails_before_any_work(
     def no_data(*args, **kwargs):
         raise AssertionError("data was built before the token layouts were compared")
 
-    monkeypatch.setattr(cli, "experiment_datasets", no_data)
-    monkeypatch.setattr(cli, "eval_split", no_data)
+    monkeypatch.setattr(config, "generate_dataset", no_data)
     assert main(argv + ["--config", tiny_cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "checkpoint has n_tokens = 13" in err
@@ -468,6 +476,53 @@ def test_a_missing_checkpoint_names_its_path_and_the_command_that_writes_it(
     path = out / f"{name}.swav"
     assert f"error: no {name} checkpoint at {path}; run {writer} first" in capsys.readouterr().err
     assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--model", "model.swq8"],
+        ["quantize", "--model", "elsewhere.swav"],
+        ["distill", "--teacher", "elsewhere.swav"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_a_missing_checkpoint_named_by_a_flag_is_reported_by_its_path_alone(
+    tiny_cfg, tmp_path, capsys, argv
+):
+    # The flag's file may be of any kind and from any writer, so the
+    # message guesses neither.
+    out = tmp_path / "run"
+    path = out / argv[-1]
+    assert main(argv[:-1] + [str(path), "--config", tiny_cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: no checkpoint at {path}\n"
+    assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize(
+    "flags, selection",
+    [
+        (["--select", "last_k"], LayerSelection.last_k(1)),
+        (["--select", "explicit", "--indices", "1"], LayerSelection.explicit([1])),
+    ],
+    ids=["last_k", "explicit 1"],
+)
+def test_distill_saves_the_student_its_selection_starts_from(tiny_cfg, tmp_path, flags, selection):
+    out = tmp_path / "run"
+    out.mkdir()
+    cfg = parse_config(tiny_cfg)
+    save_model(AcousticModel.init(model_config_from(cfg), seed=0), out / "teacher.swav")
+    assert main(["distill", "--config", tiny_cfg, "--out", str(out)] + flags) == 0
+    teacher = load_model(out / "teacher.swav")
+    seed = effective_seed(cfg, 42)
+    train, val, _ = experiment_datasets(cfg, seed, teacher)
+    student = init_student(teacher, selection)
+    best, _ = distill(teacher, student, train, val, distill_config_from(cfg, seed))
+    saved = load_model(out / "student.swav")
+    assert saved.config == best.config
+    assert list(saved.parts) == list(best.parts)
+    for name, part in best.parts.items():
+        assert np.array_equal(saved.parts[name].data, part.data), name
 
 
 def test_explicit_selection_needs_indices(tiny_cfg, tmp_path, capsys):

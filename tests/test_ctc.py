@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from smallwav.ctc import _log_softmax, ctc_loss, min_frames
-from smallwav.tensor import Tensor
+from smallwav.tensor import ShapeError, Tensor
 
 from helpers import close, fd_check
 
@@ -178,6 +178,12 @@ def test_contract_errors():
         ctc_loss(logits, [1, 2, 3, 1])  # too long for 3 frames
     with pytest.raises(ValueError):
         ctc_loss(logits, [1, 1, 2])  # repeat needs a blank: 4 frames minimum
+
+
+@pytest.mark.parametrize("shape", [(6,), (2, 3, 4)], ids=["1-D", "3-D"])
+def test_ctc_loss_takes_frame_by_token_logits_only(shape):
+    with pytest.raises(ShapeError, match=r"ctc_loss: expected \(N, M\) logits"):
+        ctc_loss(Tensor(np.zeros(shape)), [1])
 
 
 def test_loss_is_float_and_positive():

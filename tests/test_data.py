@@ -90,6 +90,21 @@ def test_spec_validation():
         SynthSpec(segment_len=1)
 
 
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"n_utterances": -1}, "n_utterances must be >= 0"),
+        ({"word_len": (0, 2)}, r"bad word_len range \(0, 2\)"),
+        ({"word_len": (3, 2)}, r"bad word_len range \(3, 2\)"),
+    ],
+    ids=["negative count", "empty words", "reversed word range"],
+)
+def test_spec_checks_name_the_bad_field(fields, message):
+    with pytest.raises(ConfigError, match=message):
+        SynthSpec(**fields)
+
+
 def test_a_negative_noise_std_is_rejected():
     with pytest.raises(ConfigError, match="noise_std must be >= 0, got -0.5"):
         SynthSpec(noise_std=-0.5)

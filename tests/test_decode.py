@@ -157,6 +157,20 @@ def test_token_error_rate():
     assert abs(token_error_rate([[1, 2]], [[1]]) - 0.5) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "refs, hyps, message",
+    [
+        ([[1, 2]], [], "token_error_rate: 1 refs vs 0 hyps"),
+        ([[1]], [[1], [2]], "token_error_rate: 1 refs vs 2 hyps"),
+        ([[], []], [[1], []], "token_error_rate: empty reference corpus"),
+    ],
+    ids=["missing hypothesis", "extra hypothesis", "no reference tokens"],
+)
+def test_token_error_rate_rejects_a_corpus_it_cannot_score(refs, hyps, message):
+    with pytest.raises(ValueError, match=message):
+        token_error_rate(refs, hyps)
+
+
 # ---------------------------------------------------------------------------
 # dumps
 

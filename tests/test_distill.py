@@ -412,6 +412,58 @@ def test_distill_requires_data():
         distill(teacher, student, [], val, DistillConfig(epochs=1))
 
 
+
+def _distill_without(split):
+    teacher, student, train, val = tiny_setup()
+    sets = {"train": train, "val": val, split: []}
+    cfg = DistillConfig(epochs=1, warmup_epochs=0)
+    return distill(teacher, student, sets["train"], sets["val"], cfg)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: DistillConfig(epochs=-1), ConfigError, "epochs must be >= 0"),
+        (lambda: DistillConfig(warmup_epochs=-1), ConfigError, "warmup_epochs must be >= 0"),
+        (
+            lambda: DistillConfig(feature_penalty_weight=-0.5),
+            ConfigError,
+            "feature_penalty_weight must be >= 0",
+        ),
+        (lambda: DistillConfig(adam_betas=(0.9, 1.0)), ConfigError, r"adam_betas \(0.9, 1.0\)"),
+        (lambda: DistillConfig(adam_betas=(-0.1, 0.98)), ConfigError, r"adam_betas \(-0.1, 0.98\)"),
+        (
+            lambda: kl_distill_loss(ProbSeq(np.zeros((0, 3))), ProbSeq(np.zeros((0, 3)))),
+            ValueError,
+            "kl_distill_loss: no frames",
+        ),
+        (
+            lambda: feature_penalty(Tensor(np.zeros((0, 4)))),
+            ValueError,
+            "feature_penalty: empty features",
+        ),
+        (lambda: DistillHistory(1.0, 50.0).final(), ValueError, "history has no trained epochs"),
+        (lambda: _distill_without("train"), ConfigError, "must be nonempty"),
+        (lambda: _distill_without("val"), ConfigError, "must be nonempty"),
+    ],
+    ids=[
+        "negative epochs",
+        "negative warmup",
+        "negative feature weight",
+        "beta2 of 1",
+        "negative beta1",
+        "kl of no frames",
+        "penalty of no features",
+        "final of no epochs",
+        "distill on no train",
+        "distill on no val",
+    ],
+)
+def test_input_checks_name_what_is_wrong(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 def test_returned_model_has_best_val_loss():
     teacher, student, train, val = tiny_setup()
     cfg = DistillConfig(epochs=3, warmup_epochs=1)

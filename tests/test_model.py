@@ -167,6 +167,28 @@ def test_selection_errors():
         LayerSelection.explicit([0, 4]).resolve(4)
 
 
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: ModelConfig(conv_layers=((16, 8),)), ConfigError, r"bad conv layer spec \(16, 8\)"),
+        (
+            lambda: ModelConfig(conv_layers=((16, 0, 4),)),
+            ConfigError,
+            r"bad conv layer spec \(16, 0, 4\)",
+        ),
+        (
+            lambda: LayerSelection("random", keep=1).resolve(4),
+            SelectionError,
+            "unknown selection kind 'random'",
+        ),
+    ],
+    ids=["two-field conv spec", "zero-width conv kernel", "unknown selection kind"],
+)
+def test_input_checks_name_what_is_wrong(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 def test_identity_student_is_bit_exact():
     teacher = AcousticModel.init(TINY, seed=4)
     student = init_student(teacher, LayerSelection.alternating(TINY.n_transformer_layers))

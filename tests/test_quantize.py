@@ -162,6 +162,16 @@ def test_activation_params_reject_inf_and_empty():
         dynamic_activation_params(np.zeros((0, 4)))
 
 
+@pytest.mark.parametrize(
+    "codes",
+    [np.zeros(4, dtype=np.int8), np.zeros((2, 2, 2), dtype=np.int8)],
+    ids=["1-D", "3-D"],
+)
+def test_a_quantized_linear_takes_2d_codes_only(codes):
+    with pytest.raises(ShapeError, match="QuantizedLinear: weights must be 2-D"):
+        QuantizedLinear(codes, QuantParams(scale=1.0, zero_point=0))
+
+
 # ---------------------------------------------------------------------------
 # the int8 linear kernel
 

@@ -147,6 +147,64 @@ def test_attention_rejects_integer_inputs():
         attention_core(bad, q, q, n_heads=2)
 
 
+def _zeros(*shape):
+    return Tensor(np.zeros(shape))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: _zeros(2).item(), ShapeError, r"item: tensor of shape \(2,\) is not a scalar"),
+        (lambda: add(_zeros(2, 3), _zeros(4)), ShapeError, "add: shapes .* do not broadcast"),
+        (lambda: mul(_zeros(2, 3), _zeros(2)), ShapeError, "mul: shapes .* do not broadcast"),
+        (lambda: transpose(_zeros(2, 2, 2)), ShapeError, "transpose: expected a 2-D tensor"),
+        (lambda: softmax(Tensor(np.array([0.0, np.inf]))), NumericError, "softmax: input must"),
+        (lambda: softmax(Tensor(np.array([0.0, np.nan]))), NumericError, "softmax: input must"),
+        (
+            lambda: layer_norm(_zeros(2, 4), _zeros(3), _zeros(4)),
+            ShapeError,
+            r"layer_norm: gain \(3,\)",
+        ),
+        (
+            lambda: layer_norm(_zeros(2, 4), _zeros(4), _zeros(4, 1)),
+            ShapeError,
+            r"bias \(4, 1\)",
+        ),
+        (lambda: conv1d(_zeros(8), _zeros(1, 1, 2), 1), ShapeError, "conv1d: expected x"),
+        (lambda: conv1d(_zeros(1, 8), _zeros(1, 2), 1), ShapeError, "conv1d: expected x"),
+        (lambda: conv1d(_zeros(1, 8), _zeros(1, 1, 2), 0), ShapeError, "stride must be >= 1"),
+        (
+            lambda: attention_core(_zeros(3, 4), _zeros(3, 4), _zeros(2, 4), 2),
+            ShapeError,
+            "attention_core: q .* must match",
+        ),
+        (
+            lambda: attention_core(_zeros(4), _zeros(4), _zeros(4), 2),
+            ShapeError,
+            r"attention_core: expected \(N, d\) inputs",
+        ),
+    ],
+    ids=[
+        "item of a vector",
+        "add unbroadcastable",
+        "mul unbroadcastable",
+        "transpose of 3-D",
+        "softmax of inf",
+        "softmax of nan",
+        "layer_norm gain",
+        "layer_norm bias",
+        "conv1d 1-D signal",
+        "conv1d 2-D kernels",
+        "conv1d zero stride",
+        "attention mismatched v",
+        "attention of 1-D",
+    ],
+)
+def test_input_checks_name_what_is_wrong(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 def test_log_rejects_nonpositive():
     with pytest.raises(NumericError):
         tlog(Tensor([1.0, 0.0]))
