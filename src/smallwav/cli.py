@@ -210,7 +210,7 @@ def _selection(args, cfg: dict) -> LayerSelection:
         if args.indices is None:
             raise SelectionError("--select explicit needs --indices")
         return LayerSelection.explicit(args.indices)
-    layers = args.layers if args.layers is not None else int(driver_value(cfg, "student_layers"))
+    layers = args.layers if args.layers is not None else driver_value(cfg, "student_layers")
     if args.select == "last_k":
         return LayerSelection.last_k(layers)
     return LayerSelection.alternating(layers)
@@ -291,7 +291,7 @@ def cmd_bench(args) -> int:
     repeats = time_repeats_from(cfg)
     model_cfg = model_config_from(cfg)
     depth = model_cfg.n_transformer_layers
-    layers = args.layers if args.layers is not None else int(driver_value(cfg, "student_layers"))
+    layers = args.layers if args.layers is not None else driver_value(cfg, "student_layers")
     if not 1 <= layers <= depth:
         raise ConfigError(f"bench: student depth {layers} outside [1, {depth}]")
     train, val, eval_set = experiment_datasets(cfg, seed)
@@ -332,7 +332,7 @@ def cmd_exp_init(args) -> int:
     cfg, seed, out = _setup(args)
     teacher = load_model(_checkpoint(out, "teacher.swav", args.teacher))
     depth = teacher.config.n_transformer_layers
-    k = args.k if args.k is not None else min(int(driver_value(cfg, "student_layers")), depth - 1)
+    k = args.k if args.k is not None else min(driver_value(cfg, "student_layers"), depth - 1)
     train, val, _ = experiment_datasets(cfg, seed, teacher)
     alt, last = run_init_experiment(teacher, k, distill_config_from(cfg, seed), train, val)
     for name, label, hist in (
@@ -349,7 +349,7 @@ def cmd_exp_init(args) -> int:
 def cmd_exp_data(args) -> int:
     cfg, seed, out = _setup(args)
     teacher = load_model(_checkpoint(out, "teacher.swav", args.teacher))
-    k = args.k if args.k is not None else int(driver_value(cfg, "student_layers"))
+    k = args.k if args.k is not None else driver_value(cfg, "student_layers")
     train, val, _ = experiment_datasets(cfg, seed, teacher)
     n = len(train)
     sizes = args.sizes or sorted({max(1, n // 4), max(1, n // 2), n})

@@ -45,12 +45,17 @@ DRIVER_DEFAULTS = {
 
 KNOWN_KEYS = _MODEL_KEYS | _SPEC_KEYS | _DISTILL_KEYS | frozenset(DRIVER_DEFAULTS)
 
+# Every key's default value, whose type a config value must have.
+_DEFAULTS = {**vars(ModelConfig()), **vars(SynthSpec()), **vars(DistillConfig()), **DRIVER_DEFAULTS}
+_OPTIONAL_KEYS = frozenset(f.name for f in dataclasses.fields(DistillConfig) if f.default is None)
+
 
 def parse_config(path) -> dict:
     """Read a key=value file into a dict of Python values.
 
-    Blank lines and lines starting with # are skipped.  Unknown keys
-    and unparseable values raise ConfigError naming the offending line.
+    Blank lines and lines starting with # are skipped.  Unknown keys,
+    unparseable values and values without the type of the key's default
+    raise ConfigError naming the offending line.
     """
     try:
         with open(path) as fh:
@@ -74,11 +79,50 @@ def parse_config(path) -> dict:
             raise ConfigError(
                 f"{path}:{lineno}: cannot parse value for {key!r}: {exc}"
             ) from exc
+        like = _DEFAULTS[key]
+        if not (out[key] is None and key in _OPTIONAL_KEYS or _fits(out[key], like)):
+            kind = ("None or " if key in _OPTIONAL_KEYS else "") + _kind(like)
+            raise ConfigError(f"{path}:{lineno}: {key} = {out[key]!r} is not {kind}")
     return out
 
 
+def _fits(value, like) -> bool:
+    """Whether value has the type of the default like.
+
+    An int takes no bool and no float, a float also takes an int, and
+    a tuple (or list) has the default's length and member type; a tuple
+    of tuples, such as conv_layers, may have any length.
+    """
+    if isinstance(like, float):
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if isinstance(like, int):
+        return isinstance(value, int) and not isinstance(value, bool)
+    if isinstance(like, dict):
+        key, item = next(iter(like.items()))
+        return isinstance(value, dict) and all(
+            _fits(k, key) and _fits(v, item) for k, v in value.items()
+        )
+    if not isinstance(value, (tuple, list)):
+        return False
+    sized = isinstance(like[0], tuple) or len(value) == len(like)
+    return sized and all(_fits(v, like[0]) for v in value)
+
+
+def _kind(like) -> str:
+    """The type _fits asks for, in words."""
+    if isinstance(like, float):
+        return "a number"
+    if isinstance(like, int):
+        return "an integer"
+    if isinstance(like, dict):
+        key, item = next(iter(like.items()))
+        return f"a dict from {_kind(key)} to {_kind(item)}"
+    size = "any length" if isinstance(like[0], tuple) else len(like)
+    return f"a tuple of {size}, each {_kind(like[0])}"
+
+
 def effective_seed(cfg: dict, flag_seed: int) -> int:
-    return int(cfg.get("seed", flag_seed))
+    return cfg.get("seed", flag_seed)
 
 
 def model_config_from(cfg: dict) -> ModelConfig:
@@ -102,9 +146,9 @@ def teacher_config_from(cfg: dict, seed: int) -> DistillConfig:
     """
     shared = {k: cfg[k] for k in ("weight_decay", "adam_betas", "adam_eps") if k in cfg}
     config = DistillConfig(
-        epochs=int(cfg.get("teacher_epochs", DRIVER_DEFAULTS["teacher_epochs"])),
-        base_lr=float(cfg.get("teacher_base_lr", DRIVER_DEFAULTS["teacher_base_lr"])),
-        warmup_epochs=int(cfg.get("teacher_warmup", DRIVER_DEFAULTS["teacher_warmup"])),
+        epochs=driver_value(cfg, "teacher_epochs"),
+        base_lr=driver_value(cfg, "teacher_base_lr"),
+        warmup_epochs=driver_value(cfg, "teacher_warmup"),
         seed=seed,
         **shared,
     )
@@ -129,7 +173,7 @@ def time_repeats_from(cfg: dict) -> int:
     anything: bench.measure_inference_all needs at least MIN_REPEATS
     passes for a median, and only runs after the training is done.
     """
-    repeats = int(driver_value(cfg, "time_repeats"))
+    repeats = driver_value(cfg, "time_repeats")
     if repeats < MIN_REPEATS:
         raise ConfigError(f"time_repeats must be >= {MIN_REPEATS}, got {repeats}")
     return repeats
@@ -180,7 +224,7 @@ def eval_split(cfg: dict, seed: int, model) -> list:
 
 
 def _split_size(cfg: dict, key: str) -> int:
-    n = int(driver_value(cfg, key))
+    n = driver_value(cfg, key)
     if n < 1:
         raise ConfigError(f"{key} must be >= 1, got {n}")
     return n

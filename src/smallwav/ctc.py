@@ -84,8 +84,6 @@ def ctc_loss(logits, targets) -> Tensor:
     loss_value = np.asarray(-log_z, dtype=logits.data.dtype)
 
     def bw(g):
-        if not logits.requires_grad:
-            return
         # Suffix scores excluding the current frame's emission, so that
         # alpha + beta counts each emission exactly once.
         beta = np.full((n, s), NEG_INF)

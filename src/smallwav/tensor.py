@@ -71,9 +71,8 @@ class NumericError(ValueError):
 class Tensor:
     """A numpy array plus a gradient slot and a place on the tape.
 
-    ``data`` holds the values, ``grad`` is either None or an array of the
-    same shape, and ``requires_grad`` marks leaves that want gradients.
-    Results of ops require grad whenever any parent does.
+    ``data`` holds the values and ``grad`` None or an array of their shape.
+    ``requires_grad`` is set here and never after: by the caller, or by _make.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
@@ -149,7 +148,7 @@ def _toposort(root: Tensor) -> list:
         node, parents = stack[-1]
         advanced = False
         for p in parents:
-            if id(p) not in seen and (p._backward is not None or p.requires_grad):
+            if id(p) not in seen and p.requires_grad:
                 seen.add(id(p))
                 stack.append((p, iter(p._parents)))
                 advanced = True
@@ -219,6 +218,10 @@ def no_grad():
 
 
 def _make(data, parents, backward) -> Tensor:
+    """The op's result, on the tape with its backward only if a parent requires grad.
+
+    So a one-parent closure writes its gradient unchecked; others check each parent.
+    """
     requires_grad = not _grad_mode.off and any(p.requires_grad for p in parents)
     out = Tensor(data, requires_grad=requires_grad)
     if requires_grad:
@@ -256,8 +259,7 @@ def neg(a) -> Tensor:
     a = _lift(a)
 
     def bw(g):
-        if a.requires_grad:
-            _accumulate(a, -g)
+        _accumulate(a, -g)
 
     return _make(-a.data, (a,), bw)
 
@@ -306,12 +308,7 @@ def tsum(a, axis=None) -> Tensor:
     data = a.data.sum(axis=axis, keepdims=False)
 
     def bw(g):
-        if not a.requires_grad:
-            return
-        if axis is None:
-            _accumulate(a, np.broadcast_to(g, a.data.shape).copy())
-        else:
-            _accumulate(a, np.broadcast_to(np.expand_dims(g, axis), a.data.shape).copy())
+        _accumulate(a, np.broadcast_to(g if axis is None else np.expand_dims(g, axis), a.shape))
 
     return _make(data, (a,), bw)
 
@@ -326,8 +323,7 @@ def square(a) -> Tensor:
     a = _lift(a)
 
     def bw(g):
-        if a.requires_grad:
-            _accumulate(a, 2.0 * a.data * g)
+        _accumulate(a, 2.0 * a.data * g)
 
     return _make(a.data * a.data, (a,), bw)
 
@@ -340,8 +336,7 @@ def tlog(a) -> Tensor:
     data = np.log(a.data)
 
     def bw(g):
-        if a.requires_grad:
-            _accumulate(a, g / a.data)
+        _accumulate(a, g / a.data)
 
     return _make(data, (a,), bw)
 
@@ -352,8 +347,7 @@ def clamp_min(a, floor: float) -> Tensor:
     data = np.maximum(a.data, a.data.dtype.type(floor))
 
     def bw(g):
-        if a.requires_grad:
-            _accumulate(a, g * (a.data > floor))
+        _accumulate(a, g * (a.data > floor))
 
     return _make(data, (a,), bw)
 
@@ -362,10 +356,9 @@ def _getitem(a: Tensor, idx) -> Tensor:
     data = a.data[idx]
 
     def bw(g):
-        if a.requires_grad:
-            full = np.zeros_like(a.data)
-            np.add.at(full, idx, g)
-            _accumulate(a, full)
+        full = np.zeros_like(a.data)
+        np.add.at(full, idx, g)
+        _accumulate(a, full)
 
     return _make(data, (a,), bw)
 
@@ -376,8 +369,7 @@ def transpose(a) -> Tensor:
         raise ShapeError(f"transpose: expected a 2-D tensor, got {a.shape}")
 
     def bw(g):
-        if a.requires_grad:
-            _accumulate(a, g.T)
+        _accumulate(a, g.T)
 
     return _make(a.data.T.copy(), (a,), bw)
 
@@ -396,9 +388,8 @@ def softmax(a, axis: int = -1) -> Tensor:
     y = e / e.sum(axis=axis, keepdims=True)
 
     def bw(g):
-        if a.requires_grad:
-            inner = (g * y).sum(axis=axis, keepdims=True)
-            _accumulate(a, y * (g - inner))
+        inner = (g * y).sum(axis=axis, keepdims=True)
+        _accumulate(a, y * (g - inner))
 
     return _make(y, (a,), bw)
 
@@ -441,9 +432,8 @@ def gelu(a) -> Tensor:
     data = x * cdf
 
     def bw(g):
-        if a.requires_grad:
-            pdf = np.exp(-0.5 * x * x) * x.dtype.type(_INV_SQRT2PI)
-            _accumulate(a, g * (cdf + x * pdf))
+        pdf = np.exp(-0.5 * x * x) * x.dtype.type(_INV_SQRT2PI)
+        _accumulate(a, g * (cdf + x * pdf))
 
     return _make(data, (a,), bw)
 

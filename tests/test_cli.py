@@ -95,6 +95,51 @@ def test_parse_config_reports_missing_file():
         parse_config("/definitely/not/here.cfg")
 
 
+WRONG_TYPES = [
+    ("gen-data", "conv_layers = 5"),
+    ("gen-data", "tokens_per_utterance = 3"),
+    ("gen-data", "word_len = (1,)"),
+    ("gen-data", "seed = 'a'"),
+    ("gen-data", "noise_std = 'a'"),
+    ("train-teacher", "adam_betas = 0.9"),
+    ("gen-data", "student_layers = 1.5"),
+    ("gen-data", "val_utterances = 2.7"),
+    ("gen-data", "n_tokens = 2.5"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, line", WRONG_TYPES, ids=[line.split(" =")[0] for _, line in WRONG_TYPES]
+)
+def test_a_config_value_of_the_wrong_type_exits_2_before_any_work(command, line, tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_text(line + "\n")
+    out = tmp_path / "run"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and line in err
+    assert not out.exists()
+
+
+def test_parse_config_takes_every_form_of_a_default_type(tmp_path):
+    path = tmp_path / "a.cfg"
+    text = "peak_lr = None\nbase_lr = 1\nconv_layers = [[16, 4, 2]]\nword_len = [1, 2]\n"
+    path.write_text(text + "frequencies = {1: 300, 2: 450.5}\n")
+    assert parse_config(path) == {
+        "peak_lr": None,
+        "base_lr": 1,
+        "conv_layers": [[16, 4, 2]],
+        "word_len": [1, 2],
+        "frequencies": {1: 300, 2: 450.5},
+    }
+
+
+def test_every_config_key_is_documented():
+    with open(os.path.join(os.path.dirname(__file__), "..", "docs", "formats.md")) as fh:
+        section = fh.read().split("## Run configuration files")[1].split("\n## ")[0]
+    assert sorted(k for k in config.KNOWN_KEYS if f"`{k}`" not in section) == []
+
+
 def test_config_seed_beats_the_flag():
     assert effective_seed({"seed": 7}, 42) == 7
     assert effective_seed({}, 42) == 42

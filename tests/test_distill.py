@@ -408,8 +408,8 @@ def test_distill_history_is_well_formed():
 
 def test_distill_requires_data():
     teacher, student, train, val = tiny_setup()
-    with pytest.raises(ConfigError):
-        distill(teacher, student, [], val, DistillConfig(epochs=1))
+    with pytest.raises(ConfigError, match="nonempty"):
+        distill(teacher, student, [], val, DistillConfig(epochs=1, warmup_epochs=0))
 
 
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import erf
 
+from smallwav.ctc import ctc_loss
 from smallwav.tensor import (
     NumericError,
     Rng,
@@ -22,9 +23,11 @@ from smallwav.tensor import (
     layer_norm,
     matmul,
     mul,
+    neg,
     no_grad,
     softmax,
     square,
+    sub,
     tlog,
     tmean,
     transpose,
@@ -234,10 +237,55 @@ def test_detach_blocks_gradient():
     assert close(x.grad, [2.0])
 
 
-def test_no_tape_without_requires_grad():
-    x = Tensor(np.ones((3, 3)))
-    out = matmul(x, x)
+# Every op on the tape: its call and the shapes of its inputs.
+TAPE_OPS = {
+    "add": (add, [(3, 4), (3, 1)]),
+    "sub": (sub, [(3, 4), (4,)]),
+    "neg": (neg, [(3,)]),
+    "mul": (mul, [(2, 5), (2, 5)]),
+    "matmul": (matmul, [(3, 4), (4, 2)]),
+    "tsum": (tsum, [(3, 4)]),
+    "tsum_axis": (lambda a: tsum(a, axis=0), [(3, 4)]),
+    "tmean": (tmean, [(3, 4)]),
+    "square": (square, [(3, 3)]),
+    "tlog": (tlog, [(3, 4)]),
+    "clamp_min": (lambda a: clamp_min(a, 1.0), [(6,)]),
+    "getitem": (lambda a: a[1:3], [(5, 4)]),
+    "transpose": (transpose, [(3, 5)]),
+    "softmax": (softmax, [(3, 5)]),
+    "gelu": (gelu, [(4, 4)]),
+    "layer_norm": (layer_norm, [(4, 6), (6,), (6,)]),
+    "conv1d": (lambda x, k: conv1d(x, k, stride=2), [(2, 12), (3, 2, 4)]),
+    "attention_core": (lambda q, k, v: attention_core(q, k, v, 2), [(4, 6)] * 3),
+    "ctc_loss": (lambda lg: ctc_loss(lg, [1, 2]), [(6, 4)]),
+}
+MULTI_INPUT_OPS = ("add", "mul", "matmul", "layer_norm", "conv1d", "attention_core")
+
+
+def _inputs(name, grad_index=None):
+    r = np.random.default_rng(5)
+    return [
+        Tensor(r.uniform(0.5, 2.0, shape), requires_grad=i == grad_index)
+        for i, shape in enumerate(TAPE_OPS[name][1])
+    ]
+
+
+@pytest.mark.parametrize("name", TAPE_OPS)
+def test_no_tape_without_requires_grad(name):
+    out = TAPE_OPS[name][0](*_inputs(name))
+    assert not out.requires_grad
     assert out._backward is None and out._parents == ()
+
+
+@pytest.mark.parametrize(
+    "name, grad_index",
+    [(name, i) for name in MULTI_INPUT_OPS for i in range(len(TAPE_OPS[name][1]))],
+)
+def test_backward_leaves_the_constant_inputs_of_an_op_without_grad(name, grad_index):
+    inputs = _inputs(name, grad_index)
+    tsum(TAPE_OPS[name][0](*inputs)).backward()
+    for i, t in enumerate(inputs):
+        assert (t.grad is not None) == (i == grad_index), i
 
 
 def test_no_grad_builds_no_tape_from_grad_leaves():
